@@ -87,6 +87,19 @@ def default_machine_for(mesh: TriMesh, *, profile: str = "serial") -> MachineSpe
     return calibrated_machine(layout.total_bytes, profile=profile)
 
 
+def _resolve_machine(mesh: TriMesh, machine, profile: str) -> MachineSpec:
+    """The given spec, a named machine sized to the mesh, or the default."""
+    if isinstance(machine, MachineSpec):
+        return machine
+    if machine is None:
+        return default_machine_for(mesh, profile=profile)
+    from ..memsim.machine import resolve_machine
+
+    return resolve_machine(
+        machine, footprint_bytes=MemoryLayout.for_mesh(mesh).total_bytes
+    )
+
+
 @dataclass
 class OrderedRun:
     """Everything measured about one (mesh, ordering) execution.
@@ -270,16 +283,6 @@ def run_ordering(
         )
     if mode == "spill" and trace_dir is None:
         raise ValueError("trace_mode='spill' requires trace_dir=")
-    if machine is None:
-        machine = default_machine_for(
-            mesh, profile=config.machine_profile or "serial"
-        )
-    elif not isinstance(machine, MachineSpec):
-        from ..memsim.machine import resolve_machine
-
-        machine = resolve_machine(
-            machine, footprint_bytes=MemoryLayout.for_mesh(mesh).total_bytes
-        )
     rank_passes = (
         DEFAULT_RANK_PASSES if rank_passes_override is None else rank_passes_override
     )
@@ -302,6 +305,11 @@ def run_ordering(
                 precomputed_order, config.order_engine, config.backend,
             )
             sp.add_event(permuted.num_vertices)
+        # Sized on the permuted mesh (same footprint), whose topology
+        # the reorder phase built inside its span.
+        machine = _resolve_machine(
+            permuted, machine, config.machine_profile or "serial"
+        )
         if summary_only:
             # One-shot summary runs drop the warm ordering-plan caches
             # pinned on the source graph: several hundred MiB of
@@ -360,7 +368,12 @@ def run_ordering(
             **kwargs,
         )
         with obs.span("pipeline.smooth", trace_mode=mode) as sp:
-            result = smoother.smooth(permuted)
+            try:
+                result = smoother.smooth(permuted)
+            except BaseException:
+                if mode == "fused":
+                    sink.abort()
+                raise
             if mode == "fused":
                 analysis = sink.close()
                 sp.set(
@@ -575,16 +588,6 @@ def run_parallel_ordering(
         raise UnknownNameError(
             "parallel trace mode", "spill", ("materialize", "fused")
         )
-    if machine is None:
-        machine = default_machine_for(
-            mesh, profile=config.machine_profile or "scaling"
-        )
-    elif not isinstance(machine, MachineSpec):
-        from ..memsim.machine import resolve_machine
-
-        machine = resolve_machine(
-            machine, footprint_bytes=MemoryLayout.for_mesh(mesh).total_bytes
-        )
     with obs.activated(config.obs), obs.span(
         "pipeline.run_parallel_ordering",
         mesh=mesh.name,
@@ -607,6 +610,9 @@ def run_parallel_ordering(
                 order_engine=config.order_engine, backend=config.backend,
             )
             sp.add_event(permuted.num_vertices)
+        machine = _resolve_machine(
+            permuted, machine, config.machine_profile or "scaling"
+        )
         layout = MemoryLayout.for_mesh(permuted, line_size=machine.line_size)
         if config.trace_mode == "fused":
             # Partial fusion: the interleaved multicore replay needs all

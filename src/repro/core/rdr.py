@@ -40,16 +40,17 @@ differential suite pins it across domains and seeds.
 from __future__ import annotations
 
 import hashlib
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import obs
 from ..mesh import TriMesh
+from ..mesh.csr import chain_walk
 from ..ordering.base import register_batched_ordering, register_ordering
 from ..ordering.batched import FrontierPlan, frontier_plan
 from ..quality import vertex_quality
+from ..smoothing.traversal import greedy_traversal
 
 __all__ = [
     "rdr_ordering",
@@ -155,10 +156,6 @@ def first_touch_ordering(
     surrogate); the gap between ``rdr`` and ``oracle`` measured by the
     ablation benches quantifies the cost of that approximation.
     """
-    # Imported here: traversal depends on quality, and the smoothing
-    # package imports memsim — a top-level import would be cyclic.
-    from ..smoothing.traversal import greedy_traversal
-
     n = mesh.num_vertices
     if qualities is None:
         qualities = vertex_quality(mesh)
@@ -216,24 +213,9 @@ def rdr_chain_heads(
         heads, _ = qplan.rdr_schedule(plan)
         return heads.copy()
     xadj, nbrs = sorted_neighbor_lists(mesh, np.asarray(qualities, dtype=np.float64))
-    processed = np.zeros(n, dtype=bool)
-    heads: list[int] = []
     interior = mesh.interior_vertices()
     seeds = interior[np.argsort(qualities[interior], kind="stable")]
-    for i in seeds:
-        if processed[i]:
-            continue
-        processed[i] = True
-        heads.append(int(i))
-        row = nbrs[xadj[i] : xadj[i + 1]]
-        chain = row[~processed[row]]
-        while chain.size:
-            head = int(chain[0])
-            processed[head] = True
-            heads.append(head)
-            row = nbrs[xadj[head] : xadj[head + 1]]
-            chain = row[~processed[row]]
-    return np.asarray(heads, dtype=np.int64)
+    return chain_walk(xadj, nbrs, seeds, bytearray(n))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +223,14 @@ def rdr_chain_heads(
 # ---------------------------------------------------------------------------
 @dataclass
 class _RdrQualityPlan:
-    """Quality-keyed half of the RDR/oracle ordering plan.
+    """Quality-keyed half of the RDR ordering plan.
 
     Holds everything Algorithm 2 derives from ``(graph, qualities)``:
     the quality rank of each vertex, the quality-sorted padded neighbor
     rows (the padded form of :func:`sorted_neighbor_lists`), each
     vertex's rank inside every neighbor's sorted row, and the argsorted
-    seed cursor.  The chain schedules (RDR's head sequence and the
-    oracle's greedy-traversal sequence) are computed on first use and
-    memoized — they are the only sequential part of the algorithm, so a
+    seed cursor.  RDR's chain schedule is computed on first use and
+    memoized — it is the only sequential part of the algorithm, so a
     warm plan turns an ordering call into a fingerprint check plus a
     handful of array ops.
 
@@ -263,86 +244,21 @@ class _RdrQualityPlan:
     sorted_rows: np.ndarray  # (n, dmax) quality-sorted padded rows
     sorted_pos: np.ndarray   # (n, dmax) rank of v in sorted row of its j-th nbr
     seeds: np.ndarray        # interior vertices by increasing quality
-    interior: np.ndarray
     _rdr_heads: np.ndarray | None = field(default=None, repr=False)
     _rdr_starts: np.ndarray | None = field(default=None, repr=False)
-    _oracle_heads: np.ndarray | None = field(default=None, repr=False)
 
     def rdr_schedule(self, plan: FrontierPlan) -> tuple[np.ndarray, np.ndarray]:
         """``(heads, chain_starts)`` of Algorithm 2's walk (memoized)."""
         if self._rdr_heads is None:
+            # Padded rows are the CSR case xadj = arange(n + 1) * dmax,
+            # with the padding sentinel n pre-marked.
             proc = bytearray(plan.n + 1)
             proc[plan.n] = 1
-            self._rdr_heads, self._rdr_starts = _chain_walk(
-                self.sorted_rows, self.seeds, proc
+            xadj = np.arange(plan.n + 1, dtype=np.int64) * plan.dmax
+            self._rdr_heads, self._rdr_starts = chain_walk(
+                xadj, self.sorted_rows.ravel(), self.seeds, proc
             )
         return self._rdr_heads, self._rdr_starts
-
-    def oracle_schedule(self, plan: FrontierPlan) -> np.ndarray:
-        """The greedy-traversal sequence (memoized).
-
-        Identical to ``greedy_traversal(mesh, qualities)``: only
-        interior vertices are eligible, so the walk starts with every
-        non-interior vertex pre-marked visited; probing the
-        quality-sorted row then yields the worst-quality eligible
-        unvisited neighbor, exactly the traversal's ``argmin``.
-        """
-        if self._oracle_heads is None:
-            vis0 = np.ones(plan.n + 1, dtype=np.uint8)
-            vis0[self.interior] = 0
-            self._oracle_heads, _ = _chain_walk(
-                self.sorted_rows, self.seeds, bytearray(vis0.tobytes())
-            )
-        return self._oracle_heads
-
-
-def _chain_walk(
-    sorted_rows: np.ndarray, seeds: np.ndarray, done: bytearray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sequential chain walk shared by RDR and the oracle.
-
-    From each seed not yet marked in ``done``, follow the chain to the
-    first unmarked entry of each head's quality-sorted row until the
-    chain dies; restart at the next seed.  Returns ``(heads,
-    chain_starts)`` with ``chain_starts`` indexing the first head of
-    each chain.  This is the only O(n)-sequential piece of the batched
-    engine; it runs once per plan and its result is memoized.
-
-    The rows are walked through a flat ``array.array`` rather than
-    ``tolist()``: a list-of-lists boxes every entry as a Python int
-    (~200 MiB at a million vertices), while the flat buffer stays at 4
-    bytes per entry and unboxes only the entries the walk touches.
-    """
-    n, dmax = sorted_rows.shape
-    code = "i" if n < 2**31 else "q"
-    dtype = np.int32 if code == "i" else np.int64
-    rows = array(code)
-    rows.frombytes(np.ascontiguousarray(sorted_rows, dtype=dtype).tobytes())
-    seq = array(code)
-    seq.frombytes(np.ascontiguousarray(seeds, dtype=dtype).tobytes())
-    heads = array(code)
-    starts = array(code)
-    append = heads.append
-    for s in seq:
-        if done[s]:
-            continue
-        starts.append(len(heads))
-        h = s
-        while True:
-            done[h] = 1
-            append(h)
-            base = h * dmax
-            for j in range(base, base + dmax):
-                w = rows[j]
-                if not done[w]:
-                    break
-            else:
-                break
-            h = w
-    return (
-        np.frombuffer(heads, dtype=dtype).astype(np.int64),
-        np.frombuffer(starts, dtype=dtype).astype(np.int64),
-    )
 
 
 def _quality_plan(
@@ -395,7 +311,6 @@ def _quality_plan(
         sorted_rows=sorted_rows,
         sorted_pos=sorted_pos,
         seeds=interior[np.argsort(qualities[interior], kind="stable")],
-        interior=interior,
     )
     object.__setattr__(graph, "_rdr_quality_plan", qplan)
     return qplan
@@ -484,8 +399,8 @@ def batched_first_touch_ordering(
     seed: int = 0,
     qualities: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Plan-compiled first-touch; identical to
-    :func:`first_touch_ordering`.
+    """Closed-form first-touch over :func:`greedy_traversal`; identical
+    to :func:`first_touch_ordering`.
 
     The reference appends each traversal vertex's unseen neighbors in
     adjacency order and leftovers in index order, so the materialization
@@ -500,8 +415,7 @@ def batched_first_touch_ordering(
         qualities = vertex_quality(mesh)
     qualities = np.asarray(qualities, dtype=np.float64)
     plan = frontier_plan(mesh.adjacency)
-    qplan = _quality_plan(mesh, plan, qualities)
-    heads = qplan.oracle_schedule(plan)
+    heads = greedy_traversal(mesh, qualities)
     return _materialize(
         plan, heads, plan.reverse_cols(), np.zeros(n, dtype=np.int64)
     )

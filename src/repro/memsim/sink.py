@@ -509,6 +509,16 @@ class FusedSink(TraceSink):
         obs.gauge_set("trace.overlap_s", self.overlap_s)
         return self.consumer
 
+    def abort(self) -> None:
+        """Stop the consumer after a failed producer: drop the pending
+        window, send the stop message, join the thread. Publishes no
+        counters and re-raises nothing (the producer's error wins)."""
+        if not self._closed:
+            self._closed, self._fill = True, 0
+            if self.overlap:
+                self._q.put(None)
+                self._thread.join()
+
     def _reraise(self) -> None:
         raise RuntimeError(
             "fused trace consumer failed"

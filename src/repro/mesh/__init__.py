@@ -5,6 +5,7 @@ from .csr import (
     adjacency_from_triangles,
     edges_from_triangles,
     is_symmetric,
+    mesh_topology,
     permute_csr,
 )
 from .io import (
@@ -27,6 +28,7 @@ __all__ = [
     "edges_from_triangles",
     "is_symmetric",
     "mesh_issues",
+    "mesh_topology",
     "permute_csr",
     "read_json",
     "read_off",

@@ -12,21 +12,35 @@ consume the vertex-to-vertex adjacency of the mesh in CSR form:
     cheap to compare.
 
 Everything here is pure NumPy; no Python-level loop runs over edges.
+The one sequential kernel, :func:`chain_walk`, loops over the heads it
+emits, not over the graph.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .. import obs
+
 __all__ = [
+    "MAX_VERTICES",
     "CSRGraph",
+    "Topology",
     "adjacency_from_triangles",
+    "chain_walk",
     "edges_from_triangles",
+    "mesh_topology",
     "permute_csr",
     "is_symmetric",
 ]
+
+#: Vertex-count limit of the packed ``u * n + v`` int64 pair keys (and of
+#: the int32 rows the chain walk steps through).
+MAX_VERTICES = 2**31
 
 
 @dataclass(frozen=True)
@@ -82,25 +96,56 @@ class CSRGraph:
         return bool(i < nbrs.size and nbrs[i] == v)
 
 
-def edges_from_triangles(triangles: np.ndarray) -> np.ndarray:
-    """Unique undirected edges of a triangle soup.
+class Topology(NamedTuple):
+    """Everything :func:`mesh_topology` derives from one edge-key sort."""
 
-    Parameters
-    ----------
-    triangles:
-        Integer array of shape ``(m, 3)``.
+    edges: np.ndarray
+    edge_counts: np.ndarray
+    boundary: np.ndarray
+    adjacency: CSRGraph
 
-    Returns
-    -------
-    Array of shape ``(e, 2)`` with ``edge[:, 0] < edge[:, 1]``, sorted
-    lexicographically.
+
+def mesh_topology(triangles: np.ndarray, num_vertices: int) -> Topology:
+    """Edges, edge counts, boundary mask and CSR adjacency in one pass.
+
+    One sort of the ``3m`` half-edge keys ``min(a, b) * n + max(a, b)``
+    gives the unique edges in lexicographic order and the triangles on
+    each; boundary vertices touch an edge of count 1 or no triangle. The
+    CSR comes from a second sort of the ``2e`` arc keys.
     """
     tri = np.asarray(triangles, dtype=np.int64)
     if tri.ndim != 2 or tri.shape[1] != 3:
         raise ValueError("triangles must have shape (m, 3)")
-    raw = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    raw.sort(axis=1)
-    return np.unique(raw, axis=0)
+    n = int(num_vertices)
+    if n >= MAX_VERTICES:
+        raise ValueError(f"{n} vertices: pair keys need n < 2**31")
+    if tri.size:
+        if tri.max() >= n:
+            raise ValueError("triangle references a vertex >= num_vertices")
+        if tri.min() < 0:
+            raise ValueError("triangle references a negative vertex index")
+    with obs.span("mesh.topology", vertices=n, triangles=tri.shape[0]):
+        nxt = np.roll(tri, -1, axis=1)
+        keys = np.minimum(tri, nxt) * n + np.maximum(tri, nxt)
+        del nxt
+        uniq, counts = np.unique(keys, return_counts=True)
+        del keys
+        lo, hi = np.divmod(uniq, max(n, 1))
+        edges = np.stack([lo, hi], axis=1)
+        boundary = np.ones(n, dtype=bool)
+        boundary[tri.ravel()] = False
+        boundary[edges[counts == 1].ravel()] = True
+        arcs = np.sort(np.concatenate([uniq, hi * n + lo]))
+        xadj = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
+        np.remainder(arcs, max(n, 1), out=arcs)
+    return Topology(edges, counts, boundary, CSRGraph(xadj=xadj, adjncy=arcs))
+
+
+def edges_from_triangles(triangles: np.ndarray) -> np.ndarray:
+    """Unique undirected edges of an ``(m, 3)`` triangle soup: shape
+    ``(e, 2)``, ``edge[:, 0] <= edge[:, 1]``, sorted lexicographically."""
+    tri = np.asarray(triangles, dtype=np.int64)
+    return mesh_topology(tri, int(tri.max()) + 1 if tri.size else 0).edges
 
 
 def adjacency_from_triangles(triangles: np.ndarray, num_vertices: int) -> CSRGraph:
@@ -108,20 +153,7 @@ def adjacency_from_triangles(triangles: np.ndarray, num_vertices: int) -> CSRGra
 
     Vertices that appear in no triangle get an empty neighbor list.
     """
-    edges = edges_from_triangles(triangles)
-    if edges.size and edges.max() >= num_vertices:
-        raise ValueError("triangle references a vertex >= num_vertices")
-    if edges.size and edges.min() < 0:
-        raise ValueError("triangle references a negative vertex index")
-    # Each undirected edge contributes two directed arcs.
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=num_vertices)
-    xadj = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=xadj[1:])
-    return CSRGraph(xadj=xadj, adjncy=dst)
+    return mesh_topology(triangles, num_vertices).adjacency
 
 
 def permute_csr(graph: CSRGraph, order: np.ndarray) -> CSRGraph:
@@ -130,32 +162,63 @@ def permute_csr(graph: CSRGraph, order: np.ndarray) -> CSRGraph:
     ``order[k]`` is the *old* index of the vertex stored at new position
     ``k`` (i.e. ``order`` is the permutation used to gather old data into
     the new layout). The returned graph has neighbor lists re-sorted so it
-    stays canonical.
+    stays canonical: one sort of the arc keys ``new_src * n + new_dst``.
     """
     order = np.asarray(order, dtype=np.int64)
     n = graph.num_vertices
     if order.shape != (n,):
         raise ValueError(f"order must have shape ({n},)")
+    if n >= MAX_VERTICES:
+        raise ValueError(f"{n} vertices: pair keys need n < 2**31")
     inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.arange(n, dtype=np.int64)
-
-    old_deg = graph.degrees()
-    new_deg = old_deg[order]
     xadj = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(new_deg, out=xadj[1:])
+    np.cumsum(graph.degrees()[order], out=xadj[1:])
+    keys = np.repeat(inverse * n, graph.degrees())
+    keys += inverse.take(graph.adjncy)
+    del inverse
+    keys.sort()
+    np.remainder(keys, max(n, 1), out=keys)
+    return CSRGraph(xadj=xadj, adjncy=keys)
 
-    adjncy = np.empty_like(graph.adjncy)
-    # Gather each old row into its new slot, relabeling columns.
-    # Row-granular copy is unavoidable without ragged gathers; keep the
-    # per-row work vectorized.
-    relabeled = inverse[graph.adjncy]
-    for new_v in range(n):
-        old_v = order[new_v]
-        row = relabeled[graph.xadj[old_v] : graph.xadj[old_v + 1]]
-        out = adjncy[xadj[new_v] : xadj[new_v + 1]]
-        out[:] = row
-        out.sort()
-    return CSRGraph(xadj=xadj, adjncy=adjncy)
+
+def chain_walk(
+    xadj: np.ndarray, rows: np.ndarray, seeds: np.ndarray, done: bytearray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy chain walk over rank-sorted CSR rows (shared by the greedy
+    traversal and RDR).
+
+    ``rows[xadj[v]:xadj[v + 1]]`` lists where ``v`` may step, best
+    first. From each seed not marked in ``done``: mark and emit it, step
+    to the first unmarked entry of its row, repeat until none is left.
+    Pre-marked entries (a padding sentinel, an ineligible vertex) are
+    never emitted. Returns ``(heads, chain_starts)``. The rows are read
+    from flat 4-byte ``array.array`` buffers: ``tolist()`` would box
+    every entry (~200 MiB at a million vertices).
+    """
+    x = array("i" if xadj[-1] < MAX_VERTICES else "q")
+    x.frombytes(np.ascontiguousarray(xadj, dtype=x.typecode).tobytes())
+    r, seq = array("i"), array("i")
+    r.frombytes(np.ascontiguousarray(rows, dtype=np.int32).tobytes())
+    seq.frombytes(np.ascontiguousarray(seeds, dtype=np.int32).tobytes())
+    heads, starts = array("i"), array("i")
+    append = heads.append
+    for s in seq:
+        if done[s]:
+            continue
+        starts.append(len(heads))
+        h = s
+        while True:
+            done[h] = 1
+            append(h)
+            for j in range(x[h], x[h + 1]):
+                w = r[j]
+                if not done[w]:
+                    break
+            else:
+                break
+            h = w
+    return tuple(np.frombuffer(a, np.int32).astype(np.int64) for a in (heads, starts))
 
 
 def is_symmetric(graph: CSRGraph) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csr import CSRGraph, adjacency_from_triangles, edges_from_triangles, permute_csr
+from .csr import CSRGraph, mesh_topology, permute_csr
 
 __all__ = ["TriMesh", "boundary_vertices_from_triangles"]
 
@@ -32,20 +32,7 @@ def boundary_vertices_from_triangles(
     Isolated vertices (in no triangle) are reported as boundary so the
     smoother never moves them.
     """
-    tri = np.asarray(triangles, dtype=np.int64)
-    mask = np.zeros(num_vertices, dtype=bool)
-    if tri.size == 0:
-        mask[:] = True
-        return mask
-    raw = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    raw.sort(axis=1)
-    edges, counts = np.unique(raw, axis=0, return_counts=True)
-    boundary_edges = edges[counts == 1]
-    mask[boundary_edges.ravel()] = True
-    used = np.zeros(num_vertices, dtype=bool)
-    used[tri.ravel()] = True
-    mask[~used] = True
-    return mask
+    return mesh_topology(triangles, num_vertices).boundary
 
 
 @dataclass
@@ -68,6 +55,7 @@ class TriMesh:
     name: str = ""
     _adjacency: CSRGraph | None = field(default=None, repr=False, compare=False)
     _boundary: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _edges: np.ndarray | None = field(default=None, repr=False, compare=False)
     _vertex_tris: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -95,22 +83,31 @@ class TriMesh:
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    def _fill_topology(self, *, edges: bool = False) -> None:
+        """Run the one topology pass and cache whatever is still missing.
+        The edge array is kept only when asked for: most meshes never
+        read it, and it would stay resident (12.5 MB at 262k vertices)."""
+        topo = mesh_topology(self.triangles, self.num_vertices)
+        if self._adjacency is None:
+            self._adjacency = topo.adjacency
+        if self._boundary is None:
+            self._boundary = topo.boundary
+        if edges:
+            topo.edges.flags.writeable = False
+            self._edges = topo.edges
+
     @property
     def adjacency(self) -> CSRGraph:
         """CSR vertex-to-vertex adjacency (built lazily, then cached)."""
         if self._adjacency is None:
-            self._adjacency = adjacency_from_triangles(
-                self.triangles, self.num_vertices
-            )
+            self._fill_topology()
         return self._adjacency
 
     @property
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask, True for boundary (fixed) vertices."""
         if self._boundary is None:
-            self._boundary = boundary_vertices_from_triangles(
-                self.triangles, self.num_vertices
-            )
+            self._fill_topology()
         return self._boundary
 
     @property
@@ -122,8 +119,10 @@ class TriMesh:
         return np.flatnonzero(self.interior_mask)
 
     def edges(self) -> np.ndarray:
-        """Unique undirected edges, shape ``(e, 2)``."""
-        return edges_from_triangles(self.triangles)
+        """Unique undirected edges, shape ``(e, 2)`` (cached, read-only)."""
+        if self._edges is None:
+            self._fill_topology(edges=True)
+        return self._edges
 
     @property
     def vertex_triangles(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,5 +187,6 @@ class TriMesh:
         new = TriMesh(vertices, self.triangles, name=self.name)
         new._adjacency = self._adjacency
         new._boundary = self._boundary
+        new._edges = self._edges
         new._vertex_tris = self._vertex_tris
         return new

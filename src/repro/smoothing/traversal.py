@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..mesh import TriMesh
+from ..mesh.csr import chain_walk
 
 __all__ = ["storage_traversal", "greedy_traversal", "make_traversal", "TRAVERSALS"]
 
@@ -54,41 +55,45 @@ def greedy_traversal(
         Restrict the traversal to these vertices (used by the static
         partitioner for parallel runs). Chains only follow neighbors
         inside the subset, like a thread that only owns its block.
+
+    Seeds go in ``np.argsort`` order (NaN last); a chain steps where
+    ``np.argmin`` would (NaN first, ties to the lower index). Eligible
+    vertices are relabeled by that step rank, their rows sorted by one
+    1-D key sort, and :func:`~repro.mesh.csr.chain_walk` walks them.
     """
     n = mesh.num_vertices
     qualities = np.asarray(qualities, dtype=np.float64)
     if qualities.shape != (n,):
         raise ValueError(f"qualities must have shape ({n},)")
+    todo = mesh.interior_vertices()
+    if subset is not None:
+        todo = todo[np.isin(todo, subset)]
+    k = todo.size
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    q = qualities[todo]
+    nan = np.isnan(q)
+    by_rank = todo[np.lexsort((q, ~nan))]
+    label = np.full(n, -1, dtype=np.int32)
+    label[by_rank] = np.arange(k, dtype=np.int32)
+
     g = mesh.adjacency
-    xadj, adjncy = g.xadj, g.adjncy
-
-    eligible = np.zeros(n, dtype=bool)
-    if subset is None:
-        eligible[mesh.interior_mask] = True
-    else:
-        eligible[np.asarray(subset, dtype=np.int64)] = True
-        eligible &= mesh.interior_mask
-
-    todo = np.flatnonzero(eligible)
-    order = np.empty(todo.size, dtype=np.int64)
-    seeds = todo[np.argsort(qualities[todo], kind="stable")]
-    visited = np.zeros(n, dtype=bool)
-    pos = 0
-    for s in seeds:
-        if visited[s]:
-            continue
-        v = int(s)
-        while True:
-            visited[v] = True
-            order[pos] = v
-            pos += 1
-            nbrs = adjncy[xadj[v] : xadj[v + 1]]
-            cand = nbrs[eligible[nbrs] & ~visited[nbrs]]
-            if cand.size == 0:
-                break
-            v = int(cand[np.argmin(qualities[cand])])
-    assert pos == order.size
-    return order
+    first = g.xadj[by_rank]
+    lens = g.xadj[by_rank + 1] - first
+    arc = np.arange(lens.sum()) + np.repeat(first - np.cumsum(lens) + lens, lens)
+    cols = label.take(g.adjncy.take(arc))
+    del arc, label
+    src = np.repeat(np.arange(k, dtype=np.int32), lens)
+    keep = cols >= 0
+    src, cols = src[keep], cols[keep]
+    keys = np.sort(src.astype(np.int64) * k + cols)
+    del cols, src
+    xadj = np.searchsorted(keys, np.arange(k + 1, dtype=np.int64) * k)
+    np.remainder(keys, k, out=keys)
+    nnan = int(np.count_nonzero(nan))
+    seeds = np.roll(np.arange(k, dtype=np.int64), -nnan)
+    heads, _ = chain_walk(xadj, keys, seeds, bytearray(k))
+    return by_rank[heads]
 
 
 TRAVERSALS = {"storage": storage_traversal, "greedy": greedy_traversal}

@@ -14,6 +14,8 @@ path and the pipeline-level ``trace_mode`` routing.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -439,4 +441,63 @@ class TestPipelineRouting:
                 config=RunConfig(trace_mode="spill"),
                 machine=tiny_machine(),
                 iterations=ITERATIONS,
+            )
+
+
+def live_consumers() -> set[threading.Thread]:
+    return {
+        t
+        for t in threading.enumerate()
+        if t.name == "fused-trace-consumer" and t.is_alive()
+    }
+
+
+class TestSmoothingFailure:
+    """A smoother that raises mid-run must not strand the consumer."""
+
+    @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
+    def test_original_error_propagates_and_consumer_stops(
+        self, monkeypatch, error
+    ):
+        mesh = structured_rectangle(10, 10, name="fused-failure-mesh")
+        before = live_consumers()
+        real_append = FusedSink.append_columns
+        raised_at = []
+
+        def failing_append(self, array_ids, indices, is_write):
+            if len(self) >= 30:  # four windows handed to the consumer
+                raised_at.append(self.windows_emitted)
+                raise error("injected mid-smoothing")
+            real_append(self, array_ids, indices, is_write)
+
+        monkeypatch.setattr(FusedSink, "append_columns", failing_append)
+        with pytest.raises(error, match="injected mid-smoothing"):
+            run_ordering(
+                mesh,
+                "rdr",
+                config=RunConfig(trace_mode="fused", stream_window_events=7),
+                machine=tiny_machine(),
+                fixed_iterations=ITERATIONS,
+            )
+        assert raised_at == [4]
+        assert live_consumers() <= before
+
+    def test_abort_is_idempotent_and_closes(self):
+        sink = FusedSink(RecordingConsumer(), window_events=4)
+        sink.append_columns(
+            np.zeros(10, dtype=np.uint8),
+            np.arange(10, dtype=np.int64),
+            np.zeros(10, dtype=bool),
+        )
+        sink.abort()
+        sink.abort()
+        assert not sink._thread.is_alive()
+        # Both full windows were simulated; the partial one was dropped.
+        assert [w[0].size for w in sink.consumer.windows] == [4, 4]
+        assert sink.consumer.events == 8
+        with pytest.raises(ValueError, match="closed"):
+            sink.append_columns(
+                np.zeros(1, dtype=np.uint8),
+                np.zeros(1, dtype=np.int64),
+                np.zeros(1, dtype=bool),
             )

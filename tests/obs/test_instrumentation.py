@@ -18,6 +18,7 @@ from repro import (
     run_ordering,
     run_parallel_ordering,
 )
+from repro.mesh import TriMesh
 from repro.meshgen import generate_domain_mesh
 from repro.memsim import MemoryLayout, simulate_multicore, westmere_ex
 from repro.memsim.reuse import COLD
@@ -205,3 +206,23 @@ class TestParallelPipeline:
         row = run.summary()
         assert row["mem_engine"] == "sequential"
         assert row["num_vertices"] == ocean_mesh.num_vertices
+
+
+class TestTopologySpan:
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_topology_pass_runs_inside_the_root_span(self, ocean_mesh, parallel):
+        # A fresh mesh on the same arrays: no cached adjacency/boundary.
+        mesh = TriMesh(ocean_mesh.vertices, ocean_mesh.triangles, name="fresh")
+        with obs.capture() as tracer:
+            if parallel:
+                run_parallel_ordering(mesh, "rdr", 2, iterations=1)
+            else:
+                run_ordering(mesh, "rdr", fixed_iterations=1)
+        (root,) = tracer.export()
+        assert root["name"] == (
+            "pipeline.run_parallel_ordering" if parallel
+            else "pipeline.run_ordering"
+        )
+        # The input mesh's one topology pass; the permuted mesh inherits
+        # its adjacency and boundary mask instead of running another.
+        assert span_names(root["children"]).count("mesh.topology") == 1
