@@ -1,4 +1,4 @@
-"""Engine speedup: vectorized smoothing and sharded memsim replay.
+"""Engine speedup: vectorized smoothing against the reference loop.
 
 Acceptance benchmark for the fast-engine work: on a 50k-vertex
 unit-square mesh, ``engine="vectorized"`` must run the same
@@ -9,11 +9,6 @@ runs — the gap widens to tens of x, because the reference engine
 appends ``4 + 2*deg`` trace events per vertex in interpreted Python
 while the vectorized engine builds each iteration's event block with
 a handful of array ops.
-
-The second half times the sharded multicore replay against the
-sequential engine on the same traced workload and checks the results
-are identical (the differential suite pins exactness; here we record
-the wall-clock ratio alongside).
 """
 
 import time
@@ -23,10 +18,7 @@ from conftest import run_once
 
 from repro import RunConfig
 from repro.bench import format_table, save_json
-from repro.core.pipeline import default_machine_for
-from repro.memsim import MemoryLayout, simulate_multicore
 from repro.meshgen import perturb_interior, structured_rectangle
-from repro.parallel import parallel_traces
 from repro.smoothing import laplacian_smooth
 
 ITERATIONS = 10
@@ -90,45 +82,3 @@ def test_vectorized_engine_speedup(benchmark):
     # configuration is gated loosely since it is far past the bar.
     assert rows[0]["speedup"] >= 5.0
     assert rows[1]["speedup"] >= 10.0
-
-
-def _sharded_rows() -> list[dict]:
-    mesh = _bench_mesh()
-    machine = default_machine_for(mesh, profile="scaling")
-    traces = parallel_traces(
-        mesh, machine.num_cores, iterations=2, traversal="storage"
-    )
-    layout = MemoryLayout.for_mesh(mesh, line_size=machine.line_size)
-    lines_per_core = [layout.lines(t) for t in traces]
-    timings, outputs = {}, {}
-    for engine in ("sequential", "sharded"):
-        t0 = time.perf_counter()
-        outputs[engine] = simulate_multicore(
-            lines_per_core, machine, config=RunConfig(mem_engine=engine)
-        )
-        timings[engine] = time.perf_counter() - t0
-    for a, b in zip(
-        outputs["sequential"].per_core, outputs["sharded"].per_core
-    ):
-        assert a == b
-    return [
-        {
-            "mesh": mesh.name,
-            "num_cores": machine.num_cores,
-            "num_sockets": machine.num_sockets,
-            "line_accesses": int(sum(s.size for s in lines_per_core)),
-            "sequential_s": timings["sequential"],
-            "sharded_s": timings["sharded"],
-            "speedup": timings["sequential"] / timings["sharded"],
-        }
-    ]
-
-
-def test_sharded_memsim_speedup(benchmark):
-    rows = run_once(benchmark, _sharded_rows)
-    print()
-    print(format_table(rows, title="Sharded vs sequential memsim replay"))
-    save_json("engine_speedup_memsim", rows)
-    # Exactness is asserted inside the driver; the wall-clock ratio
-    # depends on core count and trace size, so only sanity-gate it.
-    assert rows[0]["speedup"] > 0.5

@@ -43,7 +43,6 @@ GATES = [
     ("rcm", 20.0),
     ("rbfs", None),
     ("oracle", None),
-    ("sloan", None),
 ]
 
 

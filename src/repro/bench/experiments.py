@@ -91,19 +91,12 @@ class BenchConfig:
     #: Smoothing execution engine: "reference" or "vectorized"
     #: (identical traces and coordinates).
     engine: str = "reference"
-    #: Multicore replay engine: "sequential" or "sharded" (worker
-    #: processes, one per occupied socket; identical counts).
-    mem_engine: str = "sequential"
     #: Cache simulator: "reference" (per-event replay) or "batched"
     #: (vectorized stack-distance engine; identical counts).
     sim_engine: str = "reference"
     #: Vertex-ordering engine: "reference" or "batched" (vectorized
     #: frontier traversals; identical permutations).
     order_engine: str = "reference"
-    #: Array backend the fast engines run on: "numpy", "cupy" or
-    #: "torch" (see :mod:`repro.backend`; uninstalled backends fall
-    #: back to numpy).
-    backend: str = "numpy"
     #: Where the smoother's trace goes: "materialize" (in-memory
     #: trace), "spill" (chunked on-disk) or "fused" (streamed straight
     #: into the simulators; identical counts, bounded memory).
@@ -112,7 +105,8 @@ class BenchConfig:
     @classmethod
     def from_run_config(cls, config: RunConfig, **overrides) -> "BenchConfig":
         """A BenchConfig whose engine axes and seed come from ``config``
-        (the CLI's ``--engine``/``--sim-engine``/``--mem-engine``/``--seed``);
+        (the CLI's ``--engine``/``--sim-engine``/``--order-engine``/
+        ``--trace-mode``/``--seed``);
         everything else keeps its default unless overridden."""
         return cls(
             **{axis: getattr(config, axis) for axis in engine_axes()},
@@ -486,7 +480,6 @@ def scaling_sweep(
         cfg.affinity,
         cfg.rank_passes,
         cfg.traversal,
-        cfg.mem_engine,
         cfg.sim_engine,
     )
     if key in _SCALING:

@@ -1,23 +1,15 @@
 """Unified run configuration: one ``config=`` object instead of a kwarg zoo.
 
-Before this module, engine selection sprawled into three parallel kwarg
-families — ``engine=`` (smoothing), ``sim_engine=`` (cache simulator),
-``mem_engine=`` (multicore replay) — duplicated with ``seed=`` across
+:class:`RunConfig` is the single frozen value object that
 ``run_ordering``, ``run_parallel_ordering``, ``simulate_trace``,
-``simulate_multicore``, the CLI, the bench layer and the lab grid.
-:class:`RunConfig` is the single frozen value object all of those accept
-as ``config=``:
+``simulate_multicore``, the smoother, the CLI, the bench layer and the
+lab grid accept as ``config=``:
 
 * ``engine`` — smoothing execution engine (``reference``/``vectorized``),
 * ``sim_engine`` — cache simulator (``reference``/``batched``),
-* ``mem_engine`` — multicore replay (``sequential``/``sharded``),
 * ``order_engine`` — vertex-ordering engine (``reference``/``batched``;
   both produce identical permutations, the batched one vectorizes the
   traversal/chain machinery),
-* ``backend`` — array namespace the fast engines execute on
-  (``numpy``/``cupy``/``torch``, see :mod:`repro.backend`; names
-  validate everywhere, uninstalled backends fall back to numpy at
-  execution time),
 * ``seed`` — the stochastic-ordering seed,
 * ``machine_profile`` — calibration profile for the default machine
   (``None`` keeps each API's historical default: serial pipelines
@@ -35,12 +27,8 @@ as ``config=``:
   sink's window size,
 * ``obs`` — an :class:`ObsConfig` controlling span/metrics capture.
 
-Legacy kwargs keep working through :func:`resolve_config`, which maps
-them onto a ``RunConfig`` and emits a :class:`DeprecationWarning`
-attributed to the caller (``stacklevel``), so the test suite can run
-with ``error::DeprecationWarning`` filtered to ``repro.*`` and fail any
-*internal* call site still using the old spelling while external callers
-merely see the warning.
+``backend`` and ``mem_engine`` each accept one value (``"numpy"``,
+``"sequential"``); any other raises :class:`UnknownNameError`.
 
 Engine-name validation is shared with the CLI and the lab grid:
 :func:`engine_axes` exposes the valid names per axis and
@@ -50,7 +38,6 @@ the one-line "valid X: ..." message the CLI prints with exit status 2.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 __all__ = [
@@ -60,7 +47,6 @@ __all__ = [
     "RunConfig",
     "UnknownNameError",
     "engine_axes",
-    "resolve_config",
 ]
 
 #: Calibration profiles understood by
@@ -88,11 +74,9 @@ def engine_axes() -> dict[str, tuple[str, ...]]:
     """Valid engine names per axis, keyed by the ``RunConfig`` field.
 
     Imported lazily so this module stays dependency-free at import time
-    (the smoothing and memsim packages import it back for their shims).
+    (the smoothing and memsim packages import it back).
     """
-    from .backend import BACKEND_NAMES
     from .memsim.batched import SIM_ENGINES
-    from .memsim.multicore import MEM_ENGINES
     from .memsim.sink import TRACE_MODES
     from .ordering.base import ORDER_ENGINES
     from .smoothing.laplacian import ENGINES
@@ -100,9 +84,7 @@ def engine_axes() -> dict[str, tuple[str, ...]]:
     return {
         "engine": tuple(ENGINES),
         "sim_engine": tuple(SIM_ENGINES),
-        "mem_engine": tuple(MEM_ENGINES),
         "order_engine": tuple(ORDER_ENGINES),
-        "backend": tuple(BACKEND_NAMES),
         "trace_mode": tuple(TRACE_MODES),
     }
 
@@ -142,14 +124,23 @@ class RunConfig:
 
     engine: str = "reference"
     sim_engine: str = "reference"
+    #: Only "sequential"; kept because pipebench/ passes it.
     mem_engine: str = "sequential"
     order_engine: str = "reference"
+    #: Only "numpy"; kept because pipebench/ passes it.
     backend: str = "numpy"
     trace_mode: str = "materialize"
     seed: int = 0
     machine_profile: str | None = None
     stream_window_events: int | None = None
     obs: ObsConfig = field(default_factory=ObsConfig)
+
+    def __post_init__(self) -> None:
+        for name, only in (("backend", "numpy"), ("mem_engine", "sequential")):
+            if getattr(self, name) != only:
+                raise UnknownNameError(
+                    name.replace("_", " "), getattr(self, name), (only,)
+                )
 
     def validate(self) -> "RunConfig":
         """Check every engine name and the machine profile; returns self.
@@ -198,36 +189,3 @@ class RunConfig:
 
 
 DEFAULT_RUN_CONFIG = RunConfig()
-
-
-def resolve_config(
-    config: RunConfig | None,
-    *,
-    stacklevel: int = 3,
-    **legacy,
-) -> RunConfig:
-    """Merge deprecated per-kwarg engine selection into a ``RunConfig``.
-
-    ``legacy`` holds the old kwargs keyed by their ``RunConfig`` field
-    name, with ``None`` meaning "not passed".  Passing any of them emits
-    a :class:`DeprecationWarning` attributed ``stacklevel`` frames up
-    (default: the caller of the public API doing the resolving);
-    combining them with an explicit ``config=`` raises ``TypeError``
-    because the call would be ambiguous.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    if not supplied:
-        return config if config is not None else DEFAULT_RUN_CONFIG
-    names = ", ".join(sorted(supplied))
-    warnings.warn(
-        f"the {names} keyword(s) are deprecated; pass "
-        f"config=RunConfig({', '.join(f'{k}=...' for k in sorted(supplied))}) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    if config is not None:
-        raise TypeError(
-            f"cannot combine config= with the deprecated {names} keyword(s)"
-        )
-    return RunConfig(**supplied)

@@ -30,7 +30,6 @@ from ..config import (
     RunConfig,
     UnknownNameError,
     engine_axes,
-    resolve_config,
 )
 from ..mesh import TriMesh
 from ..memsim import (
@@ -85,19 +84,6 @@ def default_machine_for(mesh: TriMesh, *, profile: str = "serial") -> MachineSpe
     """Footprint-calibrated Westmere-shaped machine for a mesh."""
     layout = MemoryLayout.for_mesh(mesh)
     return calibrated_machine(layout.total_bytes, profile=profile)
-
-
-def _resolve_machine(mesh: TriMesh, machine, profile: str) -> MachineSpec:
-    """The given spec, a named machine sized to the mesh, or the default."""
-    if isinstance(machine, MachineSpec):
-        return machine
-    if machine is None:
-        return default_machine_for(mesh, profile=profile)
-    from ..memsim.machine import resolve_machine
-
-    return resolve_machine(
-        machine, footprint_bytes=MemoryLayout.for_mesh(mesh).total_bytes
-    )
 
 
 @dataclass
@@ -181,7 +167,6 @@ def _prepare(
     rank_passes: int = DEFAULT_RANK_PASSES,
     precomputed_order: np.ndarray | None = None,
     order_engine: str = "reference",
-    backend: str = "numpy",
 ) -> tuple[TriMesh, np.ndarray, np.ndarray]:
     """Rank-smooth the quality signal and permute the mesh under it.
 
@@ -204,7 +189,7 @@ def _prepare(
     else:
         permuted, order = apply_ordering(
             mesh, ordering, seed=seed, qualities=rank_q,
-            order_engine=order_engine, backend=backend,
+            order_engine=order_engine,
         )
     return permuted, order, rank_q[order]
 
@@ -214,18 +199,14 @@ def run_ordering(
     ordering: str,
     *,
     config: RunConfig | None = None,
-    machine: MachineSpec | str | None = None,
+    machine: MachineSpec | None = None,
     traversal: str = "greedy",
     max_iterations: int = 50,
     fixed_iterations: int | None = None,
     qualities: np.ndarray | None = None,
-    seed: int | None = None,
     rank_passes_override: int | None = None,
     smoother_kwargs: dict | None = None,
     precomputed_order: np.ndarray | None = None,
-    engine: str | None = None,
-    sim_engine: str | None = None,
-    order_engine: str | None = None,
     summary_only: bool = False,
     trace_dir: str | Path | None = None,
 ) -> OrderedRun:
@@ -234,9 +215,7 @@ def run_ordering(
     ``config`` selects the smoothing engine, the cache simulator, the
     ordering engine, the ordering seed, the default-machine calibration
     profile and the observability flags in one
-    :class:`repro.config.RunConfig`; the bare
-    ``engine=``/``sim_engine=``/``order_engine=``/``seed=`` keywords are
-    deprecated shims for the same fields.
+    :class:`repro.config.RunConfig`.
     ``fixed_iterations`` overrides convergence (useful when comparing
     orderings at identical work, mirroring the paper's note that
     orderings did not change the iteration count).
@@ -268,10 +247,8 @@ def run_ordering(
     and a live ``memsim.reuse_distance`` histogram whose computation is
     cached on the returned run (:attr:`OrderedRun.distances`).
     """
-    config = resolve_config(
-        config, engine=engine, sim_engine=sim_engine,
-        order_engine=order_engine, seed=seed,
-    )
+    if config is None:
+        config = DEFAULT_RUN_CONFIG
     if summary_only and config.trace_mode == "materialize":
         # Caller only wants summary stats: pick the fused path (and
         # record it, so run provenance reflects the mode actually used).
@@ -293,7 +270,6 @@ def run_ordering(
         engine=config.engine,
         sim_engine=config.sim_engine,
         order_engine=config.order_engine,
-        backend=config.backend,
     ):
         with obs.span(
             "pipeline.reorder",
@@ -302,14 +278,15 @@ def run_ordering(
         ) as sp:
             permuted, order, _ = _prepare(
                 mesh, ordering, qualities, config.seed, rank_passes,
-                precomputed_order, config.order_engine, config.backend,
+                precomputed_order, config.order_engine,
             )
             sp.add_event(permuted.num_vertices)
         # Sized on the permuted mesh (same footprint), whose topology
         # the reorder phase built inside its span.
-        machine = _resolve_machine(
-            permuted, machine, config.machine_profile or "serial"
-        )
+        if machine is None:
+            machine = default_machine_for(
+                permuted, profile=config.machine_profile or "serial"
+            )
         if summary_only:
             # One-shot summary runs drop the warm ordering-plan caches
             # pinned on the source graph: several hundred MiB of
@@ -323,7 +300,6 @@ def run_ordering(
         kwargs.setdefault("traversal", traversal)
         kwargs.setdefault("max_iterations", max_iterations)
         kwargs.setdefault("rank_passes", rank_passes)
-        smoother_engine = kwargs.pop("engine", config.engine)
         if fixed_iterations is not None:
             kwargs["max_iterations"] = fixed_iterations
             kwargs["tol"] = -np.inf  # never converge early
@@ -364,7 +340,7 @@ def run_ordering(
         smoother = LaplacianSmoother(
             record_trace=mode == "materialize",
             trace_sink=sink,
-            config=config.replace(engine=smoother_engine),
+            config=config,
             **kwargs,
         )
         with obs.span("pipeline.smooth", trace_mode=mode) as sp:
@@ -448,18 +424,8 @@ def compare_orderings(
 ) -> dict[str, OrderedRun]:
     """Run several orderings of one mesh under identical settings.
 
-    Engine/seed selection rides in ``config``; the deprecated
-    ``engine=``/``sim_engine=``/``order_engine=``/``seed=`` keywords are
-    resolved here (not in :func:`run_ordering`) so the warning points at
-    the caller.
+    Engine/seed selection rides in ``config``.
     """
-    config = resolve_config(
-        config,
-        engine=kwargs.pop("engine", None),
-        sim_engine=kwargs.pop("sim_engine", None),
-        order_engine=kwargs.pop("order_engine", None),
-        seed=kwargs.pop("seed", None),
-    )
     qualities = kwargs.pop("qualities", None)
     if qualities is None:
         qualities = vertex_quality(mesh)
@@ -502,7 +468,7 @@ def run_summary(run: OrderedRun) -> dict:
         "memory_accesses": int(st.memory_accesses),
         "modeled_ms": run.modeled_seconds * 1e3,
         # Full engine provenance: one column per engine_axes() axis
-        # (engine, sim_engine, mem_engine, order_engine, backend, ...).
+        # (engine, sim_engine, order_engine, trace_mode).
         **{axis: getattr(run.config, axis) for axis in engine_axes()},
         "seed": run.config.seed,
         "machine": run.machine.name,
@@ -554,33 +520,24 @@ def run_parallel_ordering(
     num_cores: int,
     *,
     config: RunConfig | None = None,
-    machine: MachineSpec | str | None = None,
+    machine: MachineSpec | None = None,
     iterations: int = 8,
     traversal: str = "greedy",
     affinity: str = "scatter",
     qualities: np.ndarray | None = None,
-    seed: int | None = None,
-    mem_engine: str | None = None,
-    sim_engine: str | None = None,
-    order_engine: str | None = None,
 ) -> ParallelRun:
     """Simulate a ``num_cores``-thread smoothing run under an ordering.
 
     Default affinity is ``scatter`` — the distribution the paper
     hypothesises its machine used for few-thread runs (the source of the
     super-linear speedups); the ablation bench flips it to ``compact``.
-    ``config.mem_engine`` selects the replay engine (``"sequential"`` or
-    ``"sharded"``; see :func:`repro.memsim.simulate_multicore`) and
-    ``config.sim_engine`` the per-socket simulator (``"reference"`` or
-    ``"batched"``; single-core sockets vectorize exactly), while
-    ``config.order_engine`` picks the vertex-ordering implementation; the
-    bare ``mem_engine=``/``sim_engine=``/``order_engine=``/``seed=``
-    keywords are deprecated shims for the same fields.
+    ``config.sim_engine`` selects the per-socket simulator
+    (``"reference"`` or ``"batched"``; single-core sockets vectorize
+    exactly, see :func:`repro.memsim.simulate_multicore`), while
+    ``config.order_engine`` picks the vertex-ordering implementation.
     """
-    config = resolve_config(
-        config, mem_engine=mem_engine, sim_engine=sim_engine,
-        order_engine=order_engine, seed=seed,
-    )
+    if config is None:
+        config = DEFAULT_RUN_CONFIG
     if config.trace_mode == "spill":
         # The multicore replay needs every core's line stream at once,
         # so only full materialization or the partially-fused line
@@ -593,10 +550,8 @@ def run_parallel_ordering(
         mesh=mesh.name,
         ordering=ordering,
         cores=num_cores,
-        mem_engine=config.mem_engine,
         sim_engine=config.sim_engine,
         order_engine=config.order_engine,
-        backend=config.backend,
     ):
         if qualities is None:
             qualities = vertex_quality(mesh)
@@ -607,12 +562,13 @@ def run_parallel_ordering(
         ) as sp:
             permuted, order, perm_q = _prepare(
                 mesh, ordering, qualities, config.seed,
-                order_engine=config.order_engine, backend=config.backend,
+                order_engine=config.order_engine,
             )
             sp.add_event(permuted.num_vertices)
-        machine = _resolve_machine(
-            permuted, machine, config.machine_profile or "scaling"
-        )
+        if machine is None:
+            machine = default_machine_for(
+                permuted, profile=config.machine_profile or "scaling"
+            )
         layout = MemoryLayout.for_mesh(permuted, line_size=machine.line_size)
         if config.trace_mode == "fused":
             # Partial fusion: the interleaved multicore replay needs all

@@ -169,8 +169,7 @@ def _run_smooth(spec: JobSpec, cache: ArtifactCache) -> dict:
 def _run_parallel_pipeline(spec: JobSpec, cache: ArtifactCache) -> dict:
     """Multicore scaling cell: memsim replay over a static partition
     (``max_iterations`` doubles as the traced iteration count; core
-    count is the machine's socket count, so with ``mem_engine=sharded``
-    every shard is one worker process under scatter affinity)."""
+    count is the machine's socket count)."""
 
     def compute() -> dict:
         from ..core.pipeline import default_machine_for, run_parallel_ordering

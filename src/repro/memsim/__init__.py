@@ -24,19 +24,16 @@ from .machine import (
     MachineSpec,
     calibrated_machine,
     profile_line_size,
-    resolve_machine,
     tiny_machine,
     westmere_ex,
 )
 from .multicore import (
-    MEM_ENGINES,
     CoreResult,
     MulticoreResult,
     affinity_sockets,
     simulate_multicore,
     simulate_socket,
 )
-from .sharded import simulate_multicore_sharded, socket_shards
 from .sink import (
     DEFAULT_FUSED_WINDOW_EVENTS,
     TRACE_MODES,
@@ -90,7 +87,6 @@ __all__ = [
     "LevelStats",
     "LineSink",
     "LRUCache",
-    "MEM_ENGINES",
     "MachineSpec",
     "MaterializeSink",
     "MemoryLayout",
@@ -121,15 +117,12 @@ __all__ = [
     "replay_chunked_trace",
     "replay_trace",
     "replay_trace_windows",
-    "resolve_machine",
     "reuse_distances",
     "simulate_multicore",
-    "simulate_multicore_sharded",
     "simulate_socket",
     "simulate_trace",
     "simulate_trace_batched",
     "simulate_trace_streaming",
-    "socket_shards",
     "streaming_reuse_distances",
     "tiny_machine",
     "trace_summary",

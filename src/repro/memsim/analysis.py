@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import RunConfig, resolve_config
+from ..config import DEFAULT_RUN_CONFIG, RunConfig
 from .cache import CacheHierarchy
 from .layout import MemoryLayout
 from .machine import MachineSpec
@@ -56,17 +56,15 @@ def per_array_breakdown(
     machine: MachineSpec,
     *,
     config: RunConfig | None = None,
-    sim_engine: str | None = None,
 ) -> list[ArrayBreakdown]:
     """Simulate the hierarchy, attributing misses to logical arrays.
 
     Returns one row per array (in :data:`ARRAY_NAMES` order) that
     appears in the trace. ``config=RunConfig(sim_engine="batched")``
     computes the served levels with the vectorized engine (identical
-    results); the bare ``sim_engine=`` keyword is a deprecated shim.
+    results).
     """
-    config = resolve_config(config, sim_engine=sim_engine)
-    sim_engine = config.sim_engine
+    sim_engine = (config or DEFAULT_RUN_CONFIG).sim_engine
     lines = layout.lines(trace)
     ids = trace.array_ids
     if sim_engine == "batched":
@@ -109,7 +107,6 @@ def trace_summary(
     machine: MachineSpec | None = None,
     *,
     config: RunConfig | None = None,
-    sim_engine: str | None = None,
 ) -> dict:
     """Structural summary of a trace.
 
@@ -117,10 +114,8 @@ def trace_summary(
     lines/elements touched, and the cold-access fraction at line
     granularity. When ``machine`` is given, a ``cache`` entry with
     per-level hierarchy statistics is included, simulated with
-    ``config.sim_engine`` (the bare ``sim_engine=`` keyword is a
-    deprecated shim).
+    ``config.sim_engine``.
     """
-    config = resolve_config(config, sim_engine=sim_engine)
     lines = layout.lines(trace)
     elements = layout.element_ids(trace)
     dists = reuse_distances(lines)

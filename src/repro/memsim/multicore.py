@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..config import RunConfig, resolve_config
+from ..config import DEFAULT_RUN_CONFIG, RunConfig
 from .cache import (
     CacheHierarchy,
     HierarchyStats,
@@ -43,19 +43,12 @@ from .machine import MachineSpec
 from .timing import CostBreakdown, modeled_time
 
 __all__ = [
-    "MEM_ENGINES",
     "affinity_sockets",
     "CoreResult",
     "MulticoreResult",
     "simulate_multicore",
     "simulate_socket",
 ]
-
-#: Multicore replay engines: simulate sockets in this process one after
-#: the other, or distribute them to worker processes (identical counts;
-#: see :mod:`repro.memsim.sharded`).
-MEM_ENGINES = ("sequential", "sharded")
-
 
 def affinity_sockets(
     num_cores: int, machine: MachineSpec, policy: str = "compact"
@@ -130,15 +123,11 @@ def simulate_socket(
     quantum: int = 64,
     sim_engine: str = "reference",
     stream_window_events: int | None = None,
-    backend: str | None = None,
 ) -> list[CoreResult]:
     """Simulate one socket: its cores' streams against one shared L3.
 
     A socket is a closed system — cores of different sockets share no
-    cache state — so this is the exact unit the sharded replay
-    (:mod:`repro.memsim.sharded`) distributes to worker processes. Both
-    the sequential and the sharded engine run this very function, which
-    is what makes their per-level counts identical by construction.
+    cache state — so sockets replay one after the other.
 
     ``sim_engine="batched"`` applies to single-core sockets only, where
     the socket degenerates to a private hierarchy and the vectorized
@@ -168,7 +157,6 @@ def simulate_socket(
             quantum,
             sim_engine,
             stream_window_events,
-            backend,
         )
         for cr in results:
             observe_hierarchy_stats(cr.stats)
@@ -183,7 +171,6 @@ def _simulate_socket_impl(
     quantum: int,
     sim_engine: str,
     stream_window_events: int | None = None,
-    backend: str | None = None,
 ) -> list[CoreResult]:
     if len(member_cores) == 1 and (
         sim_engine == "batched" or stream_window_events is not None
@@ -203,7 +190,7 @@ def _simulate_socket_impl(
         else:
             from .batched import batched_levels
 
-            stats, _ = batched_levels(streams[0], machine, backend=backend)
+            stats, _ = batched_levels(streams[0], machine)
         return [
             CoreResult(
                 core=int(member_cores[0]),
@@ -257,14 +244,11 @@ def _simulate_socket_impl(
 
 def simulate_multicore(
     lines_per_core: list[np.ndarray],
-    machine: MachineSpec | str,
+    machine: MachineSpec,
     *,
     config: RunConfig | None = None,
     affinity: str = "compact",
     quantum: int = 64,
-    engine: str | None = None,
-    max_workers: int | None = None,
-    sim_engine: str | None = None,
 ) -> MulticoreResult:
     """Simulate per-core line streams on the machine's cache topology.
 
@@ -273,71 +257,23 @@ def simulate_multicore(
     lines_per_core:
         One line-id stream per thread (from the partitioned smoother).
     config:
-        A :class:`repro.config.RunConfig`; ``config.mem_engine`` selects
-        the replay engine (``"sequential"`` simulates sockets one after
-        the other in this process, ``"sharded"`` distributes them to
-        worker processes — per-level counts are identical either way)
-        and ``config.sim_engine`` the per-socket simulator
-        (``"reference"`` or ``"batched"``; the batched engine vectorizes
-        single-core sockets exactly and composes with either replay
-        engine).  ``config.backend`` applies to the sequential replay's
-        batched sockets; sharded worker processes always run numpy
-        (device contexts do not fork), with identical counts.
+        A :class:`repro.config.RunConfig`; ``config.sim_engine`` selects
+        the per-socket simulator (``"reference"`` or ``"batched"``; the
+        batched engine vectorizes single-core sockets exactly).
     affinity:
         ``"compact"`` or ``"scatter"`` (see module docstring).
     quantum:
         Number of consecutive accesses one core executes before the
         round-robin hands the socket to the next core; models the
         fine-grained interleaving of simultaneously running threads.
-    engine, sim_engine:
-        Deprecated shims for ``config=RunConfig(mem_engine=...)`` and
-        ``config=RunConfig(sim_engine=...)``.
-    max_workers:
-        Worker-process cap for the sharded engine (ignored otherwise).
     """
-    config = resolve_config(config, mem_engine=engine, sim_engine=sim_engine)
-    if not isinstance(machine, MachineSpec):
-        from .machine import profile_line_size, resolve_machine
-
-        footprint = None
-        if isinstance(machine, str):
-            lsz = profile_line_size(machine)
-            hi = max(
-                (
-                    int(np.asarray(s).max())
-                    for s in lines_per_core
-                    if np.asarray(s).size
-                ),
-                default=0,
-            )
-            footprint = (hi + 1) * lsz
-        machine = resolve_machine(machine, footprint_bytes=footprint)
-    mem_engine = config.mem_engine
+    config = config or DEFAULT_RUN_CONFIG
     with obs.span(
         "memsim.multicore",
-        mem_engine=mem_engine,
         sim_engine=config.sim_engine,
-        backend=config.backend,
         affinity=affinity,
         cores=len(lines_per_core),
     ):
-        if mem_engine == "sharded":
-            from .sharded import simulate_multicore_sharded
-
-            return simulate_multicore_sharded(
-                lines_per_core,
-                machine,
-                affinity=affinity,
-                quantum=quantum,
-                max_workers=max_workers,
-                sim_engine=config.sim_engine,
-                stream_window_events=config.stream_window_events,
-            )
-        if mem_engine != "sequential":
-            raise ValueError(
-                f"unknown replay engine {mem_engine!r}; "
-                f"choose from {MEM_ENGINES}"
-            )
         p = len(lines_per_core)
         sockets = affinity_sockets(p, machine, affinity)
         results: list[CoreResult | None] = [None] * p
@@ -351,7 +287,6 @@ def simulate_multicore(
                 quantum=quantum,
                 sim_engine=config.sim_engine,
                 stream_window_events=config.stream_window_events,
-                backend=config.backend,
             ):
                 results[cr.core] = cr
         return MulticoreResult(

@@ -492,8 +492,11 @@ class FusedSink(TraceSink):
         """Flush the tail, stop the consumer thread, publish counters.
 
         Returns the consumer, whose accumulated state is now final.
-        Consumer exceptions are re-raised here (or at the next handoff).
+        Consumer exceptions are re-raised here (or at the next handoff),
+        and again on every later call.
         """
+        if self._error is not None:
+            self._reraise()
         if self._closed:
             return self.consumer
         self._flush()
@@ -520,6 +523,9 @@ class FusedSink(TraceSink):
                 self._thread.join()
 
     def _reraise(self) -> None:
+        # Stop the consumer thread before raising, so a caller that
+        # never calls abort() leaks no thread.
+        self.abort()
         raise RuntimeError(
             "fused trace consumer failed"
         ) from self._error

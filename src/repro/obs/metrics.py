@@ -10,13 +10,11 @@ the lifetime of the tracer that owns the registry:
 * :class:`Histogram` — fixed-bucket distribution with vectorized
   ``observe`` (reuse distances, wavefront widths).  Buckets are defined
   by a sorted tuple of inclusive upper edges plus one overflow bucket,
-  so two histograms over the same edges merge by adding counts —
-  which is how per-process shard metrics fold into the parent registry.
+  so two histograms over the same edges merge by adding counts.
 
 Everything serialises to plain JSON via :meth:`MetricsRegistry.snapshot`
-and re-merges via :meth:`MetricsRegistry.merge`, the mechanism the
-sharded memsim replay and the lab workers use to ship metrics across
-process boundaries.
+and re-merges via :meth:`MetricsRegistry.merge`, the mechanism for
+shipping metrics across process boundaries.
 """
 
 from __future__ import annotations

@@ -22,8 +22,7 @@ by ``benchmarks/test_obs_overhead.py``).
 :func:`capture` installs a fresh tracer for a ``with`` block and
 restores the previous one on exit; :meth:`Tracer.export` /
 :meth:`Tracer.adopt` round-trip span trees through plain dicts, which is
-how worker processes (sharded memsim, lab workers) ship their spans back
-to the parent for merging.
+how worker processes ship their spans back to the parent for merging.
 """
 
 from __future__ import annotations

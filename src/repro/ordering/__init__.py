@@ -26,7 +26,7 @@ from .base import (
 )
 from .quality_orders import degree_ordering, quality_sort_ordering
 from .sfc import hilbert_indices, hilbert_ordering, morton_ordering
-from .sloan import batched_sloan_ordering, sloan_ordering
+from .sloan import sloan_ordering
 from .spectral import fiedler_vector, spectral_ordering
 from .traversals import (
     bfs_ordering,
@@ -42,7 +42,6 @@ from .batched import (
     batched_rcm_ordering,
     batched_reverse_bfs_ordering,
     frontier_bfs,
-    frontier_distances,
     frontier_plan,
     frontier_pseudo_peripheral,
     release_plan_caches,
@@ -58,14 +57,12 @@ __all__ = [
     "batched_bfs_ordering",
     "batched_rcm_ordering",
     "batched_reverse_bfs_ordering",
-    "batched_sloan_ordering",
     "bfs_ordering",
     "check_permutation",
     "degree_ordering",
     "dfs_ordering",
     "fiedler_vector",
     "frontier_bfs",
-    "frontier_distances",
     "frontier_plan",
     "release_plan_caches",
     "frontier_pseudo_peripheral",

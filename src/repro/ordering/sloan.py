@@ -14,13 +14,8 @@ graph distance to a pseudo-peripheral end vertex, and W1/W2 the classic
 weights (2, 1). Vertices move through the states inactive ->
 preactive -> active -> numbered.
 
-The heap is inherently sequential, so the batched engine
-(:func:`batched_sloan_ordering`) keeps it but removes everything
-around it: the pseudo-peripheral search and both distance passes run
-on the vectorized frontier BFS, and each numbering step computes the
-priorities of all affected neighbors with array ops, pushing them in
-the reference's exact row order (same values, same counters — the
-permutation is element-identical).
+The heap is inherently sequential and has no batched registration:
+``order_engine="batched"`` falls back to :func:`sloan_ordering`.
 """
 
 from __future__ import annotations
@@ -31,15 +26,10 @@ from collections import deque
 import numpy as np
 
 from ..mesh import TriMesh
-from .base import register_batched_ordering, register_ordering
-from .batched import (
-    frontier_distances,
-    frontier_plan,
-    frontier_pseudo_peripheral,
-)
+from .base import register_ordering
 from .traversals import _pseudo_peripheral
 
-__all__ = ["sloan_ordering", "batched_sloan_ordering"]
+__all__ = ["sloan_ordering"]
 
 _INACTIVE, _PREACTIVE, _ACTIVE, _NUMBERED = 0, 1, 2, 3
 
@@ -68,16 +58,8 @@ def _number_component(
     start: int,
     w1: int,
     w2: int,
-    *,
-    batched: bool,
 ) -> int:
-    """Number one component from ``start``; returns the new ``pos``.
-
-    Both engines share this loop; ``batched`` only switches the
-    per-neighbor priority computation from the scalar closure to array
-    ops.  Push order, priority values and tie-break counters are
-    identical either way.
-    """
+    """Number one component from ``start``; returns the new ``pos``."""
     # Current degree towards not-yet-numbered vertices + 1 if the
     # vertex itself is not yet active (Sloan's incr definition).
     cdeg = np.diff(xadj).astype(np.int64)
@@ -107,49 +89,25 @@ def _number_component(
         if status[v] == _PREACTIVE:
             # Its inactive neighbors become preactive (incr uses the
             # pre-decrement degree + 1).
-            if batched:
-                fresh = row[status[row] == _INACTIVE]
-                if fresh.size:
-                    status[fresh] = _PREACTIVE
-                    prios = (w1 * (cdeg[fresh] + 1) - dist_term[fresh]).tolist()
-                    for p, w in zip(prios, fresh.tolist()):
-                        push(heap, (p, counter, w))
-                        counter += 1
-            else:
-                for w in row:
-                    if status[w] == _INACTIVE:
-                        status[w] = _PREACTIVE
-                        push(heap, (priority(int(w)), counter, int(w)))
-                        counter += 1
+            for w in row:
+                if status[w] == _INACTIVE:
+                    status[w] = _PREACTIVE
+                    push(heap, (priority(int(w)), counter, int(w)))
+                    counter += 1
         status[v] = _NUMBERED
         order[pos] = v
         pos += 1
         remaining[v] = False
-        if batched:
-            cdeg[row] -= 1
-            st = status[row]
-            was_active = (st == _PREACTIVE) | (st == _ACTIVE)
-            touched = was_active | (st == _INACTIVE)
-            sub = row[touched]
-            if sub.size:
-                kind = was_active[touched]
-                incr = cdeg[sub] + np.where(kind, 2, 1)
-                prios = (w1 * incr - dist_term[sub]).tolist()
-                status[sub] = np.where(kind, _ACTIVE, _PREACTIVE)
-                for p, w in zip(prios, sub.tolist()):
-                    push(heap, (p, counter, w))
-                    counter += 1
-        else:
-            for w in row.tolist():
-                cdeg[w] -= 1
-                if status[w] in (_PREACTIVE, _ACTIVE):
-                    status[w] = _ACTIVE
-                    push(heap, (priority(w), counter, w))
-                    counter += 1
-                elif status[w] == _INACTIVE:
-                    status[w] = _PREACTIVE
-                    push(heap, (priority(w), counter, w))
-                    counter += 1
+        for w in row.tolist():
+            cdeg[w] -= 1
+            if status[w] in (_PREACTIVE, _ACTIVE):
+                status[w] = _ACTIVE
+                push(heap, (priority(w), counter, w))
+                counter += 1
+            elif status[w] == _INACTIVE:
+                status[w] = _PREACTIVE
+                push(heap, (priority(w), counter, w))
+                counter += 1
     return pos
 
 
@@ -184,49 +142,7 @@ def sloan_ordering(
         dist_to_end = _bfs_distance(xadj, adjncy, n, end)
         pos = _number_component(
             xadj, adjncy, status, order, pos, remaining, dist_to_end,
-            start, w1, w2, batched=False,
-        )
-    assert pos == n
-    return order
-
-
-@register_batched_ordering("sloan")
-def batched_sloan_ordering(
-    mesh: TriMesh,
-    *,
-    seed: int = 0,
-    qualities=None,
-    w1: int = 2,
-    w2: int = 1,
-) -> np.ndarray:
-    """Sloan with frontier BFS passes and batched priority updates.
-
-    Identical permutation to :func:`sloan_ordering` — the
-    pseudo-peripheral/end-distance sweeps are exact frontier
-    re-executions, and the heap sees the same (priority, counter)
-    stream.
-    """
-    g = mesh.adjacency
-    n = mesh.num_vertices
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    plan = frontier_plan(g)
-
-    order = np.empty(n, dtype=np.int64)
-    status = np.full(n, _INACTIVE, dtype=np.int8)
-    pos = 0
-
-    remaining = np.ones(n, dtype=bool)
-    while remaining.any():
-        start = int(np.flatnonzero(remaining)[0])
-        start = frontier_pseudo_peripheral(plan, start)
-        dist = frontier_distances(plan, start)
-        component = np.flatnonzero(dist >= 0)
-        end = int(component[np.argmax(dist[component])])
-        dist_to_end = frontier_distances(plan, end)
-        pos = _number_component(
-            g.xadj, g.adjncy, status, order, pos, remaining, dist_to_end,
-            start, w1, w2, batched=True,
+            start, w1, w2,
         )
     assert pos == n
     return order

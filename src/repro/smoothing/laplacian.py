@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..config import RunConfig, resolve_config
+from ..config import DEFAULT_RUN_CONFIG, RunConfig
 from ..mesh import TriMesh
 from ..memsim.trace import AccessTrace, TraceBuilder
 from ..quality import DEFAULT_RANK_PASSES, global_quality, patch_quality, vertex_quality
@@ -150,8 +150,10 @@ class LaplacianSmoother:
         always uses the raw global quality.
     config:
         A :class:`repro.config.RunConfig`; its ``engine`` field selects
-        the execution engine (the bare ``engine=`` keyword is a
-        deprecated shim for it).
+        the execution engine: ``"reference"`` (scalar per-vertex loop)
+        or ``"vectorized"`` (NumPy wavefront batches; same traversals,
+        same traces, same coordinates to ``rtol=1e-12`` — see
+        :mod:`repro.smoothing.vectorized`).
     record_trace:
         Emit the logical access trace alongside the numeric result.
     culling:
@@ -174,11 +176,6 @@ class LaplacianSmoother:
         never closes it, and ``SmoothingResult.trace`` stays ``None``.
         This is how the fused/spill trace modes bound the events in
         flight. Implies trace emission regardless of ``record_trace``.
-    engine:
-        ``"reference"`` (scalar per-vertex loop) or ``"vectorized"``
-        (NumPy wavefront batches; same traversals, same traces, same
-        coordinates to ``rtol=1e-12`` — see
-        :mod:`repro.smoothing.vectorized`).
     """
 
     def __init__(
@@ -196,9 +193,9 @@ class LaplacianSmoother:
         culling: bool = False,
         cull_tol: float | None = None,
         trace_sink=None,
-        engine: str | None = None,
     ):
-        config = resolve_config(config, engine=engine)
+        if config is None:
+            config = DEFAULT_RUN_CONFIG
         if update not in ("gauss-seidel", "jacobi"):
             raise ValueError(f"unknown update discipline {update!r}")
         if greedy_qualities not in ("current", "initial"):
@@ -235,7 +232,6 @@ class LaplacianSmoother:
             "smooth.run",
             mesh=mesh.name,
             engine=self.engine,
-            backend=self.config.backend,
             traversal=self.traversal,
             update=self.update,
         ) as sp:
@@ -348,13 +344,7 @@ class LaplacianSmoother:
                         obs.observe(
                             "smoothing.wavefront_width", np.diff(offsets)
                         )
-                        wf_plan = WavefrontPlan(
-                            xadj,
-                            adjncy,
-                            batched,
-                            offsets,
-                            backend=self.config.backend,
-                        )
+                        wf_plan = WavefrontPlan(xadj, adjncy, batched, offsets)
                     wf_plan.execute(coords, cull_tol=cull_tol, moved=moved)
                 else:
                     for v in seq.tolist():
@@ -425,10 +415,5 @@ class LaplacianSmoother:
 def laplacian_smooth(
     mesh: TriMesh, *, config: RunConfig | None = None, **kwargs
 ) -> SmoothingResult:
-    """Convenience wrapper: ``LaplacianSmoother(**kwargs).smooth(mesh)``.
-
-    The deprecated ``engine=`` keyword is resolved here (not in the
-    smoother) so the warning points at the caller.
-    """
-    config = resolve_config(config, engine=kwargs.pop("engine", None))
+    """Convenience wrapper: ``LaplacianSmoother(**kwargs).smooth(mesh)``."""
     return LaplacianSmoother(config=config, **kwargs).smooth(mesh)

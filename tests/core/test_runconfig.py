@@ -1,36 +1,17 @@
-"""The unified :class:`RunConfig`: validation, round-trips, and the
-deprecation shims that keep the legacy per-kwarg spellings working.
-
-The shim-equivalence tests are the contract of the API redesign: every
-legacy call must warn *and* produce results identical to the ``config=``
-spelling.
-"""
+"""The unified :class:`RunConfig`: validation and round-trips through
+the CLI flags, the lab's job specs and the bench config."""
 
 import argparse
 import dataclasses
 
-import numpy as np
 import pytest
 
-from repro import ObsConfig, RunConfig, engine_axes, laplacian_smooth
+from repro import ObsConfig, RunConfig, engine_axes
 from repro.bench.experiments import BenchConfig
 from repro.cli import add_engine_args, add_obs_args, run_config_from_args
-from repro.config import (
-    DEFAULT_RUN_CONFIG,
-    UnknownNameError,
-    resolve_config,
-)
+from repro.config import UnknownNameError
 from repro.core import run_ordering, run_summary
 from repro.lab.grid import JobSpec
-from repro.memsim import (
-    MemoryLayout,
-    simulate_multicore,
-    simulate_trace,
-    tiny_machine,
-    westmere_ex,
-)
-from repro.parallel import parallel_traces
-from repro.smoothing import trace_for_traversal
 
 
 class TestRunConfig:
@@ -54,7 +35,6 @@ class TestRunConfig:
         cfg = RunConfig(
             engine="vectorized",
             sim_engine="batched",
-            mem_engine="sharded",
             order_engine="batched",
             machine_profile="scaling",
         )
@@ -68,6 +48,12 @@ class TestRunConfig:
             ({"mem_engine": "turbo"}, "unknown mem engine 'turbo'"),
             ({"order_engine": "turbo"}, "unknown order engine 'turbo'"),
             ({"machine_profile": "laptop"}, "unknown machine profile 'laptop'"),
+            ({"backend": "torch"}, "unknown backend 'torch'; valid backends: numpy$"),
+            ({"backend": "cupy"}, "unknown backend 'cupy'; valid backends: numpy$"),
+            (
+                {"mem_engine": "sharded"},
+                "unknown mem engine 'sharded'; valid mem engines: sequential$",
+            ),
         ],
     )
     def test_validate_rejects_unknown_names(self, kwargs, message):
@@ -97,92 +83,10 @@ class TestRunConfig:
 
     def test_engine_axes_cover_every_axis(self):
         axes = engine_axes()
+        assert list(axes) == ["engine", "sim_engine", "order_engine", "trace_mode"]
         assert axes["engine"] == ("reference", "vectorized")
         assert axes["sim_engine"] == ("reference", "batched")
-        assert axes["mem_engine"] == ("sequential", "sharded")
         assert axes["order_engine"] == ("reference", "batched")
-
-
-class TestResolveConfig:
-    def test_no_args_yields_the_default(self):
-        assert resolve_config(None) is DEFAULT_RUN_CONFIG
-
-    def test_explicit_config_passes_through_untouched(self):
-        cfg = RunConfig(engine="vectorized")
-        assert resolve_config(cfg) is cfg
-
-    def test_none_valued_legacy_kwargs_do_not_warn(self, recwarn):
-        assert resolve_config(None, engine=None, seed=None) is (
-            DEFAULT_RUN_CONFIG
-        )
-        assert not recwarn.list
-
-    def test_legacy_kwargs_warn_and_map_to_fields(self):
-        with pytest.warns(DeprecationWarning, match="engine, seed"):
-            cfg = resolve_config(None, engine="vectorized", seed=5)
-        assert cfg == RunConfig(engine="vectorized", seed=5)
-
-    def test_combining_config_and_legacy_kwargs_raises(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="cannot combine config="):
-                resolve_config(RunConfig(), engine="vectorized")
-
-
-class TestShimEquivalence:
-    """Legacy spellings must warn and produce identical results."""
-
-    def test_run_ordering_shim(self, ocean_mesh):
-        new = run_ordering(
-            ocean_mesh,
-            "rdr",
-            config=RunConfig(sim_engine="batched"),
-            fixed_iterations=2,
-        )
-        with pytest.warns(DeprecationWarning, match="sim_engine"):
-            old = run_ordering(
-                ocean_mesh, "rdr", sim_engine="batched", fixed_iterations=2
-            )
-        assert run_summary(old) == run_summary(new)
-
-    def test_laplacian_smooth_engine_shim(self, bumpy_mesh):
-        new = laplacian_smooth(
-            bumpy_mesh,
-            config=RunConfig(engine="vectorized"),
-            max_iterations=3,
-        )
-        with pytest.warns(DeprecationWarning, match="engine"):
-            old = laplacian_smooth(
-                bumpy_mesh, engine="vectorized", max_iterations=3
-            )
-        assert np.array_equal(old.mesh.vertices, new.mesh.vertices)
-        assert old.iterations == new.iterations
-
-    def test_simulate_trace_shim(self, ocean_mesh):
-        trace = trace_for_traversal(
-            ocean_mesh, np.arange(ocean_mesh.num_vertices)
-        )
-        lines = MemoryLayout.for_mesh(ocean_mesh).lines(trace)
-        machine = tiny_machine()
-        new = simulate_trace(
-            lines, machine, config=RunConfig(sim_engine="batched")
-        )
-        with pytest.warns(DeprecationWarning, match="sim_engine"):
-            old = simulate_trace(lines, machine, sim_engine="batched")
-        assert old == new
-
-    def test_simulate_multicore_shim(self, ocean_mesh):
-        machine = westmere_ex()
-        traces = parallel_traces(ocean_mesh, 2, iterations=1,
-                                 traversal="storage")
-        layout = MemoryLayout.for_mesh(ocean_mesh, line_size=machine.line_size)
-        streams = [layout.lines(t) for t in traces]
-        new = simulate_multicore(
-            streams, machine, config=RunConfig(mem_engine="sharded")
-        )
-        with pytest.warns(DeprecationWarning, match="mem_engine"):
-            old = simulate_multicore(streams, machine, engine="sharded")
-        assert old.access_counts() == new.access_counts()
-        assert old.modeled_seconds == new.modeled_seconds
 
 
 class TestCliRoundTrip:
@@ -197,7 +101,6 @@ class TestCliRoundTrip:
         args = self.parse([
             "--engine", "vectorized",
             "--sim-engine", "batched",
-            "--mem-engine", "sharded",
             "--order-engine", "batched",
             "--seed", "7",
             "--trace-out", str(tmp_path / "t.jsonl"),
@@ -206,7 +109,6 @@ class TestCliRoundTrip:
         assert cfg == RunConfig(
             engine="vectorized",
             sim_engine="batched",
-            mem_engine="sharded",
             order_engine="batched",
             seed=7,
             obs=ObsConfig(
@@ -226,15 +128,14 @@ class TestCliRoundTrip:
         )
         assert args.engines == ("reference", "vectorized")
         assert args.sim_engines == ("reference",)
-        assert args.mem_engines == ("sequential",)
         assert args.order_engines == ("reference",)
         assert args.seeds == (0, 1, 2)
 
 
 class TestSpecRoundTrips:
     CFG = RunConfig(
-        engine="vectorized", sim_engine="batched", mem_engine="sharded",
-        order_engine="batched", seed=3,
+        engine="vectorized", sim_engine="batched", order_engine="batched",
+        seed=3,
     )
 
     def test_job_spec_round_trip(self):
@@ -242,11 +143,13 @@ class TestSpecRoundTrips:
             self.CFG, experiment="pipeline", domain="ocean", ordering="rdr"
         )
         assert spec.engine == "vectorized"
-        assert spec.mem_engine == "sharded"
         assert spec.order_engine == "batched"
         assert spec.to_run_config() == self.CFG
-        assert "mem_engine=sharded" in spec.key()
         assert "order_engine=batched" in spec.key()
+        # Specs stored before the backend/mem_engine axes were removed
+        # still load.
+        stored = {**spec.as_dict(), "backend": "torch", "mem_engine": "sharded"}
+        assert JobSpec.from_dict(stored) == spec
 
     def test_bench_config_round_trip(self):
         cfg = BenchConfig.from_run_config(self.CFG, suite_scale=0.01)
@@ -267,7 +170,6 @@ class TestSpecRoundTrips:
         row = run_summary(run)
         assert row["engine"] == "vectorized"
         assert row["sim_engine"] == "batched"
-        assert row["mem_engine"] == "sequential"
         assert row["order_engine"] == "batched"
         assert row["seed"] == 0
         assert row["machine"] == run.machine.name

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import RunConfig
 from repro.memsim import (
     SIM_ENGINES,
     batched_levels,
@@ -64,6 +65,8 @@ GEOMETRIES = [
     (2, 1, 2, 2, 4, 2),
     (1, 3, 1, 3, 1, 4),
 ]
+
+BATCHED = RunConfig(sim_engine="batched")
 
 
 def reference_levels(lines, machine, **kwargs):
@@ -133,7 +136,7 @@ class TestBatchedMatchesReference:
         arrs = [np.asarray(s, dtype=np.int64) for s in per_core]
         ref = simulate_multicore(arrs, machine, affinity=affinity)
         got = simulate_multicore(
-            arrs, machine, affinity=affinity, sim_engine="batched"
+            arrs, machine, affinity=affinity, config=BATCHED
         )
         assert len(ref.per_core) == len(got.per_core)
         for cr_ref, cr_got in zip(ref.per_core, got.per_core):
@@ -155,7 +158,7 @@ class TestBatchedGolden:
         machine = westmere_ex(scale=config["machine_scale"])
         with np.load(FIXTURE_DIR / f"{name}.npz") as fixture:
             lines = fixture["lines"]
-        stats = simulate_trace(lines, machine, sim_engine="batched")
+        stats = simulate_trace(lines, machine, config=BATCHED)
         want = golden_stats[name]["levels"]
         for level in stats.levels():
             assert level.accesses == want[level.name]["accesses"]
@@ -169,7 +172,9 @@ class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         machine = toy_machine(*GEOMETRIES[0])
         with pytest.raises(ValueError, match="sim engine"):
-            simulate_trace(np.arange(4), machine, sim_engine="nope")
+            simulate_trace(
+                np.arange(4), machine, config=RunConfig(sim_engine="nope")
+            )
 
     def test_empty_stream(self):
         machine = toy_machine(*GEOMETRIES[0])

@@ -277,6 +277,7 @@ class TestTwoSlotBound:
             def consume_window(self, ids, idx, wr):
                 raise ValueError("boom")
 
+        before = live_consumers()
         sink = FusedSink(Exploding(), window_events=4)
         with pytest.raises(RuntimeError, match="fused trace consumer"):
             sink.append_columns(
@@ -284,7 +285,9 @@ class TestTwoSlotBound:
                 np.zeros(64, dtype=np.int64),
                 np.zeros(64, dtype=bool),
             )
+        with pytest.raises(RuntimeError, match="fused trace consumer"):
             sink.close()
+        assert live_consumers() <= before
 
     def test_bad_window_size_rejected(self):
         with pytest.raises(ValueError, match="window_events"):

@@ -109,50 +109,3 @@ class TestGpuGenericProfile:
     def test_levels_nested(self):
         m = calibrated_machine(500_000, profile="gpu-generic")
         assert m.l1.size_bytes < m.l2.size_bytes < m.l3.size_bytes
-
-
-class TestResolveMachine:
-    def test_spec_and_none_pass_through(self):
-        from repro.memsim import resolve_machine
-
-        m = tiny_machine()
-        assert resolve_machine(m) is m
-        assert resolve_machine(None) is None
-
-    def test_string_profile_warns_and_calibrates(self):
-        from repro.memsim import resolve_machine
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            m = resolve_machine("serial", footprint_bytes=1_000_000)
-        assert m.l3.size_bytes >= 1_000_000
-
-    def test_unknown_profile_raises_unknown_name(self):
-        from repro.config import UnknownNameError
-        from repro.memsim import resolve_machine
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(UnknownNameError, match="warp"):
-                resolve_machine("warp", footprint_bytes=1000)
-
-    def test_string_without_footprint_is_type_error(self):
-        from repro.memsim import resolve_machine
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="footprint"):
-                resolve_machine("serial")
-
-    def test_non_machine_non_string_is_type_error(self):
-        from repro.memsim import resolve_machine
-
-        with pytest.raises(TypeError, match="MachineSpec"):
-            resolve_machine(42)
-
-    def test_simulate_trace_accepts_profile_string(self):
-        import numpy as np
-
-        from repro.memsim import simulate_trace
-
-        lines = np.arange(32, dtype=np.int64)
-        with pytest.warns(DeprecationWarning):
-            stats = simulate_trace(lines, "serial")
-        assert stats.l1.accesses == 32

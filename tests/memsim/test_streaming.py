@@ -211,9 +211,8 @@ class TestConfigRouting:
             with pytest.raises(ValueError):
                 RunConfig(stream_window_events=bad).validate()
 
-    @pytest.mark.parametrize("mem_engine", ["sequential", "sharded"])
     @pytest.mark.parametrize("affinity", ["compact", "scatter"])
-    def test_multicore_streams_per_socket(self, mem_engine, affinity):
+    def test_multicore_streams_per_socket(self, affinity):
         # compact packs two cores per socket (quantum-sliced interleave);
         # scatter yields single-core sockets (windowed StreamingHierarchy).
         machine = toy_machine(2, 2, 4, 2, 8, 4)
@@ -225,13 +224,9 @@ class TestConfigRouting:
             for _ in range(3)
         ]
         want = simulate_multicore(streams, machine, affinity=affinity)
-        config = RunConfig(
-            mem_engine=mem_engine,
-            sim_engine="batched",
-            stream_window_events=17,
-        )
+        config = RunConfig(sim_engine="batched", stream_window_events=17)
         got = simulate_multicore(
-            streams, machine, config=config, affinity=affinity, max_workers=1
+            streams, machine, config=config, affinity=affinity
         )
         assert len(want.per_core) == len(got.per_core)
         for a, b in zip(want.per_core, got.per_core):

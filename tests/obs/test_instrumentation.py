@@ -169,26 +169,6 @@ class TestMulticoreSpans:
             cr.stats.l1.accesses for cr in result.per_core
         )
 
-    def test_sharded_replay_merges_worker_spans_and_metrics(self, ocean_mesh):
-        machine = westmere_ex()
-        streams = _streams(ocean_mesh, machine, 2)
-        with obs.capture() as tracer:
-            simulate_multicore(
-                streams,
-                machine,
-                config=RunConfig(mem_engine="sharded"),
-                affinity="scatter",
-            )
-        sharded_counters = tracer.metrics.snapshot()["counters"]
-        names = span_names(tracer.export())
-        assert "memsim.sharded" in names
-        # One adopted socket span per shard, shipped back from workers.
-        assert names.count("memsim.socket") == 2
-
-        with obs.capture() as sequential:
-            simulate_multicore(streams, machine, affinity="scatter")
-        assert sharded_counters == sequential.metrics.snapshot()["counters"]
-
 
 class TestParallelPipeline:
     def test_parallel_run_span_tree_and_summary(self, ocean_mesh):
@@ -204,7 +184,7 @@ class TestParallelPipeline:
         ):
             assert expected in names
         row = run.summary()
-        assert row["mem_engine"] == "sequential"
+        assert row["sim_engine"] == "reference"
         assert row["num_vertices"] == ocean_mesh.num_vertices
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro  # noqa: F401  (registers all orderings, incl. rdr/oracle)
+from repro.config import UnknownNameError
 from repro.ordering import (
     ORDERINGS,
     apply_ordering,
@@ -68,6 +69,10 @@ class TestApplyOrdering:
     def test_identity_for_ori(self, ocean_mesh):
         permuted, order = apply_ordering(ocean_mesh, "ori")
         assert np.array_equal(order, np.arange(ocean_mesh.num_vertices))
+
+    def test_rejects_non_numpy_backend(self, ocean_mesh):
+        with pytest.raises(UnknownNameError, match="valid backends: numpy$"):
+            apply_ordering(ocean_mesh, "ori", backend="torch")
 
 
 class TestPermutationUtilities:

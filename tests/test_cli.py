@@ -200,21 +200,15 @@ class TestEngineFlags:
         out = capsys.readouterr().out
         assert "engines:" in out and "vectorized" in out
         assert "sim engines:" in out and "batched" in out
-        assert "mem engines:" in out and "sharded" in out
-        assert "backends:" in out and "numpy" in out
+        assert "order engines:" in out and "trace modes:" in out
+        assert "mem engines:" not in out and "backends:" not in out
 
     def test_rejects_unknown_backend(self, mesh_stem):
-        # argparse choices= derived from engine_axes(): exit status 2.
+        # The flags derive from engine_axes(), which has no backend
+        # axis: argparse rejects the flag with exit status 2.
         with pytest.raises(SystemExit) as exc:
-            main(["smooth", str(mesh_stem), "--backend", "tensorflow"])
+            main(["smooth", str(mesh_stem), "--backend", "numpy"])
         assert exc.value.code == 2
-
-    def test_smooth_accepts_backend_flag(self, mesh_stem, capsys):
-        rc = main(["smooth", str(mesh_stem), "--ordering", "rdr",
-                   "--engine", "vectorized", "--backend", "numpy",
-                   "--max-iterations", "2"])
-        assert rc == 0
-        assert "smoothed" in capsys.readouterr().out
 
     def test_smooth_accepts_machine_profile(self, mesh_stem, capsys):
         rc = main(["smooth", str(mesh_stem), "--ordering", "rdr",
@@ -372,18 +366,19 @@ class TestLab:
         assert len(body) == 2
 
     def test_init_unknown_mem_engine_exits_2(self, tmp_path, capsys):
-        rc = main(["lab", "init", "--db", str(tmp_path / "lab.db"),
-                   "--mem-engines", "turbo"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "unknown mem engine 'turbo'" in err and "sharded" in err
+        # No mem_engine axis left in engine_axes(): the flag is unknown.
+        with pytest.raises(SystemExit) as exc:
+            main(["lab", "init", "--db", str(tmp_path / "lab.db"),
+                  "--mem-engines", "sequential"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_init_unknown_backend_exits_2(self, tmp_path, capsys):
-        rc = main(["lab", "init", "--db", str(tmp_path / "lab.db"),
-                   "--backends", "tensorflow"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "unknown backend 'tensorflow'" in err and "numpy" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["lab", "init", "--db", str(tmp_path / "lab.db"),
+                  "--backends", "numpy"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_obs_export_with_spans(self, tmp_path, capsys):
         db = tmp_path / "lab.db"
