@@ -347,7 +347,7 @@ def run_ordering(
             try:
                 result = smoother.smooth(permuted)
             except BaseException:
-                if mode == "fused":
+                if sink is not None:
                     sink.abort()
                 raise
             if mode == "fused":
@@ -531,9 +531,9 @@ def run_parallel_ordering(
     Default affinity is ``scatter`` — the distribution the paper
     hypothesises its machine used for few-thread runs (the source of the
     super-linear speedups); the ablation bench flips it to ``compact``.
-    ``config.sim_engine`` selects the per-socket simulator
-    (``"reference"`` or ``"batched"``; single-core sockets vectorize
-    exactly, see :func:`repro.memsim.simulate_multicore`), while
+    ``config.sim_engine`` selects the per-socket replay
+    (``"reference"`` or ``"batched"``, the exact socket kernel; see
+    :func:`repro.memsim.simulate_socket`), while
     ``config.order_engine`` picks the vertex-ordering implementation.
     """
     if config is None:

@@ -247,7 +247,7 @@ class _LevelStream:
             if self.sets is None:
                 self._cold_comp = cs
             else:
-                self._cold_comp = self.sets[cs] * self.n + cs
+                self._cold_comp = self.sets[cs].astype(np.int64) * self.n + cs
         return self._cold_comp
 
     @property

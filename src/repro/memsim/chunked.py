@@ -44,7 +44,8 @@ class ChunkedTraceWriter:
     Append columns in any burst sizes; whenever ``window_events`` events
     accumulate, one window file is flushed, keeping the writer's
     footprint bounded. Close (or use as a context manager) to write the
-    trailing partial window and the manifest.
+    trailing partial window and the manifest; a ``with`` block that
+    raises aborts the write instead (see :meth:`abort`).
     """
 
     def __init__(
@@ -57,6 +58,11 @@ class ChunkedTraceWriter:
         if window_events < 1:
             raise ValueError("window_events must be >= 1")
         self.out_dir = Path(out_dir)
+        # The directories this writer creates, deepest first, so that
+        # abort() removes exactly those.
+        self._made_dirs = [
+            d for d in (self.out_dir, *self.out_dir.parents) if not d.exists()
+        ]
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.window_events = int(window_events)
         self.compress = compress
@@ -162,12 +168,31 @@ class ChunkedTraceWriter:
         self._closed = True
         return self.out_dir
 
+    def abort(self) -> None:
+        """Discard an unfinished write: delete the windows this writer
+        wrote and the directories it made (when empty). The manifest is
+        written only by :meth:`close`, after which this is a no-op."""
+        if self._closed:
+            return
+        self._closed = True
+        self._ids = self._idx = self._wr = []
+        self._buffered = 0
+        for k in range(self._windows):
+            (self.out_dir / _window_name(k)).unlink(missing_ok=True)
+        for d in self._made_dirs:
+            try:
+                d.rmdir()
+            except OSError:  # holds files this writer did not create
+                break
+
     def __enter__(self) -> "ChunkedTraceWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self.close()
+        else:
+            self.abort()
 
 
 class ChunkedTrace:

@@ -127,21 +127,29 @@ def simulate_socket(
     """Simulate one socket: its cores' streams against one shared L3.
 
     A socket is a closed system — cores of different sockets share no
-    cache state — so sockets replay one after the other.
+    cache state — so sockets replay one after the other. The cores'
+    streams interleave round-robin, ``quantum`` events per core per
+    round; a core whose stream ends drops out of later rounds.
 
-    ``sim_engine="batched"`` applies to single-core sockets only, where
-    the socket degenerates to a private hierarchy and the vectorized
-    cascade is exact; multi-core sockets interleave through the shared
-    L3 and always use the reference replay.
+    ``sim_engine="reference"`` replays the interleave event by event
+    through one :class:`CacheHierarchy` per core over a shared
+    :class:`LRUCache` L3 — the test oracle. ``sim_engine="batched"``
+    replays the same interleave through one exact kernel for any number
+    of cores: it drops each core's immediate repeats (L1 hits that
+    change no state), rebuilds the round-robin order with one stable
+    sort, and runs one inlined LRU loop over the rest. Line ids must be
+    non-negative on the batched engine.
 
-    ``stream_window_events`` bounds peak memory: single-core sockets
-    replay through :class:`repro.memsim.streaming.StreamingHierarchy`
-    window by window, and multi-core interleaves materialize only one
-    quantum of each stream at a time — so memory-mapped streams are
-    never pulled in whole. Counts are bit-identical either way.
+    ``stream_window_events`` bounds peak memory: the reference
+    materializes one quantum of each stream at a time, and the kernel
+    processes whole rounds in chunks of at most that many events (at
+    least one round) — so memory-mapped streams are never pulled in
+    whole. Counts are bit-identical either way.
     """
     if sim_engine not in ("reference", "batched"):
         raise ValueError(f"unknown sim engine {sim_engine!r}")
+    if quantum < 1:
+        raise ValueError(f"quantum must be >= 1, got {quantum}")
     with obs.span(
         "memsim.socket",
         socket=int(socket_id),
@@ -149,58 +157,37 @@ def simulate_socket(
         engine=sim_engine,
     ) as sp:
         sp.add_event(int(sum(np.asarray(s).size for s in streams)))
-        results = _simulate_socket_impl(
-            socket_id,
-            member_cores,
-            streams,
-            machine,
-            quantum,
-            sim_engine,
-            stream_window_events,
-        )
+        if sim_engine == "batched":
+            stats = _replay_socket(
+                streams, machine, quantum, stream_window_events
+            )
+        else:
+            stats = _interleave_reference(
+                streams, machine, quantum, stream_window_events
+            )
+        results = [
+            CoreResult(
+                core=int(core),
+                socket=int(socket_id),
+                stats=st,
+                cost=modeled_time(st, machine),
+            )
+            for core, st in zip(member_cores, stats)
+        ]
         for cr in results:
             observe_hierarchy_stats(cr.stats)
         return results
 
 
-def _simulate_socket_impl(
-    socket_id: int,
-    member_cores: list[int],
+def _interleave_reference(
     streams: list[np.ndarray],
     machine: MachineSpec,
     quantum: int,
-    sim_engine: str,
-    stream_window_events: int | None = None,
-) -> list[CoreResult]:
-    if len(member_cores) == 1 and (
-        sim_engine == "batched" or stream_window_events is not None
-    ):
-        # One core: no shared-L3 contention, the socket is exactly a
-        # private three-level hierarchy and the batched cascade applies
-        # (windowed through the streaming engine when requested).
-        if stream_window_events is not None:
-            from .streaming import StreamingHierarchy, iter_line_windows
-
-            sim = StreamingHierarchy(machine, sim_engine=sim_engine)
-            for win in iter_line_windows(streams[0], stream_window_events):
-                sim.consume(win)
-            stats = sim.stats
-            obs.add("memsim.stream.windows", sim.windows)
-            obs.gauge_set("memsim.stream.carry_events", sim.carry_events)
-        else:
-            from .batched import batched_levels
-
-            stats, _ = batched_levels(streams[0], machine)
-        return [
-            CoreResult(
-                core=int(member_cores[0]),
-                socket=int(socket_id),
-                stats=stats,
-                cost=modeled_time(stats, machine),
-            )
-        ]
+    stream_window_events: int | None,
+) -> list[HierarchyStats]:
+    """The per-event round-robin interleave through ``CacheHierarchy``."""
     shared_l3 = LRUCache(machine.l3)
-    hierarchies = [CacheHierarchy(machine, shared_l3=shared_l3) for _ in member_cores]
+    hierarchies = [CacheHierarchy(machine, shared_l3=shared_l3) for _ in streams]
     if stream_window_events is None:
         line_lists = [
             np.asarray(stream, dtype=np.int64).tolist() for stream in streams
@@ -211,8 +198,8 @@ def _simulate_socket_impl(
         # materialize one quantum at a time in the interleave loop.
         line_lists = [np.asarray(stream, dtype=np.int64) for stream in streams]
         sizes = [int(s.size) for s in line_lists]
-    cursors = [0] * len(member_cores)
-    live = list(range(len(member_cores)))
+    cursors = [0] * len(streams)
+    live = list(range(len(streams)))
     while live:
         still = []
         for k in live:
@@ -231,15 +218,141 @@ def _simulate_socket_impl(
             if hi < sizes[k]:
                 still.append(k)
         live = still
+    return [h.stats for h in hierarchies]
+
+
+#: Events converted to Python ints per kernel loop call: plain ints are
+#: several times faster than NumPy scalars in the set lists, and slicing
+#: bounds the list's footprint.
+_KERNEL_CHUNK = 1 << 16
+
+
+def _replay_socket(
+    streams: list[np.ndarray],
+    machine: MachineSpec,
+    quantum: int,
+    stream_window_events: int | None,
+) -> list[HierarchyStats]:
+    """Exact batched replay of one socket's round-robin interleave.
+
+    A core's event equal to that core's previous event is an L1 hit that
+    changes no state (the line is MRU in the core's L1, and only the
+    core's own accesses touch its L1/L2), so it is counted and dropped.
+    The kept events of ``P`` cores are tagged ``line * P + k`` and put
+    in the reference's round-robin order by one stable sort on
+    ``(i // quantum) * P + k`` (``i`` the event's index in its core's
+    stream). Tagging gives each core private L1/L2 sets in one flat set
+    table: ``tag % (P * S)`` is ``P * (line % S) + k``.
+    """
+    P = len(streams)
+    arrays = [np.asarray(s) for s in streams]
+    sizes = [int(a.size) for a in arrays]
+    l1, l2, l3 = machine.l1, machine.l2, machine.l3
+    # Sets start full of -1 placeholders (never a valid tag), so every
+    # insert is an insert-then-pop and an empty way needs no length test.
+    sets1 = [[-1] * l1.associativity for _ in range(P * l1.num_sets)]
+    sets2 = [[-1] * l2.associativity for _ in range(P * l2.num_sets)]
+    sets3 = [[-1] * l3.associativity for _ in range(l3.num_sets)]
+    miss1, miss2, miss3 = [0] * P, [0] * P, [0] * P
+    rounds = -(-max(sizes, default=0) // quantum)
+    step = max(rounds, 1)
+    if stream_window_events is not None:
+        step = max(1, stream_window_events // (P * quantum))
+    for r0 in range(0, rounds, step):
+        lo, hi = r0 * quantum, (r0 + step) * quantum
+        tags, keys = [], []
+        for k, arr in enumerate(arrays):
+            seg = np.asarray(arr[lo:hi], dtype=np.int64)
+            if seg.size == 0:
+                continue
+            if seg.min() < 0:
+                raise ValueError("line ids must be non-negative")
+            # Repeats within the chunk; its first event is always kept.
+            keep = np.empty(seg.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(seg[1:], seg[:-1], out=keep[1:])
+            idx = np.flatnonzero(keep)
+            tag = seg[idx]
+            tag *= P
+            tag += k
+            tags.append(tag)
+            if P > 1:
+                key = idx // quantum
+                key *= P
+                key += k
+                keys.append(key)
+        tagged = np.concatenate(tags)
+        if P > 1:
+            tagged = tagged[np.argsort(np.concatenate(keys), kind="stable")]
+        for c in range(0, tagged.size, _KERNEL_CHUNK):
+            _replay_tags(
+                tagged[c : c + _KERNEL_CHUNK].tolist(), P,
+                sets1, sets2, sets3, miss1, miss2, miss3,
+            )
     return [
-        CoreResult(
-            core=int(core),
-            socket=int(socket_id),
-            stats=h.stats,
-            cost=modeled_time(h.stats, machine),
+        HierarchyStats(
+            LevelStats("L1", n, n - m1),
+            LevelStats("L2", m1, m1 - m2),
+            LevelStats("L3", m2, m2 - m3),
         )
-        for core, h in zip(member_cores, hierarchies)
+        for n, m1, m2, m3 in zip(sizes, miss1, miss2, miss3)
     ]
+
+
+def _replay_tags(tags, P, sets1, sets2, sets3, miss1, miss2, miss3) -> None:
+    """The kernel's LRU loop over tagged events (``CacheHierarchy.access``
+    inlined, per-core miss counts accumulated in ``miss1..3``)."""
+    M1, M2, S3 = len(sets1), len(sets2), len(sets3)
+    for t in tags:
+        a = sets1[t % M1]
+        # No MRU shortcut at L1: the repeat drop removed those hits.
+        if t in a:
+            a.remove(t)
+            a.insert(0, t)
+            continue
+        a.insert(0, t)
+        a.pop()  # L1 victims stay in L2/L3 under inclusion
+        k = t % P
+        miss1[k] += 1
+        b = sets2[t % M2]
+        if b[0] == t:
+            continue
+        if t in b:
+            b.remove(t)
+            b.insert(0, t)
+            continue
+        b.insert(0, t)
+        v = b.pop()
+        if v >= 0:
+            # Inclusive: a line leaving L2 must leave L1.
+            a = sets1[v % M1]
+            if v in a:
+                a.remove(v)
+                a.append(-1)
+        miss2[k] += 1
+        line = t // P
+        c = sets3[line % S3]
+        if c[0] == line:
+            continue
+        if line in c:
+            c.remove(line)
+            c.insert(0, line)
+            continue
+        c.insert(0, line)
+        v = c.pop()
+        miss3[k] += 1
+        if v >= 0:
+            # Back-invalidate the shared-L3 victim from the evicting
+            # core only (as CacheHierarchy does with a shared L3).
+            v = v * P + k
+            b = sets2[v % M2]
+            if v in b:
+                b.remove(v)
+                b.append(-1)
+            a = sets1[v % M1]
+            if v in a:
+                a.remove(v)
+                a.append(-1)
 
 
 def simulate_multicore(
@@ -258,8 +371,10 @@ def simulate_multicore(
         One line-id stream per thread (from the partitioned smoother).
     config:
         A :class:`repro.config.RunConfig`; ``config.sim_engine`` selects
-        the per-socket simulator (``"reference"`` or ``"batched"``; the
-        batched engine vectorizes single-core sockets exactly).
+        the per-socket replay (``"reference"``: the per-event interleave
+        oracle; ``"batched"``: the exact socket kernel, for one core or
+        many, see :func:`simulate_socket`), and
+        ``config.stream_window_events`` bounds the replay's memory.
     affinity:
         ``"compact"`` or ``"scatter"`` (see module docstring).
     quantum:

@@ -209,6 +209,11 @@ class SpillSink(TraceSink):
         """Flush the trailing window + manifest; returns the directory."""
         return self._writer.close()
 
+    def abort(self) -> None:
+        """Remove the partial spill after a failed producer: the windows
+        written so far, and the directory if this sink created it."""
+        self._writer.abort()
+
     def open(self) -> ChunkedTrace:
         """Open the spilled trace for windowed reading (after close)."""
         return ChunkedTrace.open(self._writer.out_dir)

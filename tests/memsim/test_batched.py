@@ -129,9 +129,9 @@ class TestBatchedMatchesReference:
     )
     @settings(max_examples=25, deadline=None)
     def test_shared_l3_multicore(self, per_core, geometry, affinity):
-        # compact packs cores onto shared-L3 sockets (reference
-        # interleave path); scatter produces single-core sockets where
-        # the batched cascade applies — both must match exactly.
+        # compact packs cores onto shared-L3 sockets, scatter produces
+        # single-core sockets; the socket kernel replays both and must
+        # match the reference interleave exactly.
         machine = toy_machine(*geometry, cores_per_socket=2, num_sockets=2)
         arrs = [np.asarray(s, dtype=np.int64) for s in per_core]
         ref = simulate_multicore(arrs, machine, affinity=affinity)
@@ -205,3 +205,22 @@ def test_differential_sweep():
         got_stats, got_served = batched_levels(lines, machine)
         assert_stats_equal(ref_stats, got_stats)
         assert np.array_equal(ref_served, got_served), f"trial {trial}"
+
+
+def test_cold_composite_is_int64_when_set_times_n_overflows_int32():
+    # The (set, position) composite multiplies an int32 set id by the
+    # stream length; at 262k vertices L2 reaches 6,442 sets x 753,883
+    # events, past 2**31. A small stream over a huge set count reaches
+    # the same product.
+    from repro.memsim.batched import _LevelStream
+
+    num_sets = 1 << 20
+    n = 4096
+    lines = np.arange(num_sets - n, num_sets, dtype=np.int64)
+    stream = _LevelStream(lines, num_sets, 2)
+    assert int(stream.sets.max()) * n >= 2**31
+    pos = np.arange(n, dtype=np.int64)
+    want = np.sort(stream.sets.astype(np.int64) * n + pos)
+    got = stream.cold_comp
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)

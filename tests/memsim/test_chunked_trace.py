@@ -134,6 +134,17 @@ class TestChunkedRoundTrip:
         assert chunked.num_windows == 5
         assert chunked.meta["source"] == "unit"
 
+    def test_writer_block_that_raises_leaves_nothing(self, tmp_path):
+        with pytest.raises(KeyError):
+            with ChunkedTraceWriter(tmp_path / "w", window_events=4) as writer:
+                writer.append_columns(
+                    np.zeros(10, dtype=np.uint8),
+                    np.arange(10, dtype=np.int64),
+                    np.zeros(10, dtype=bool),
+                )
+                raise KeyError("injected")
+        assert list(tmp_path.iterdir()) == []
+
     def test_open_rejects_missing_or_foreign(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ChunkedTrace.open(tmp_path / "nope")

@@ -485,6 +485,40 @@ class TestSmoothingFailure:
         assert raised_at == [4]
         assert live_consumers() <= before
 
+    @pytest.mark.parametrize("preexisting", [False, True])
+    def test_spill_failure_leaves_no_files(
+        self, monkeypatch, tmp_path, preexisting
+    ):
+        mesh = structured_rectangle(10, 10, name="spill-failure-mesh")
+        trace_dir = tmp_path / "runs" / "spill"
+        if preexisting:
+            trace_dir.mkdir(parents=True)
+            (trace_dir / "notes.txt").write_text("kept")
+        real_append = SpillSink.append_columns
+        windows_on_disk = []
+
+        def failing_append(self, array_ids, indices, is_write):
+            if len(self) >= 30:  # four windows already on disk
+                windows_on_disk.append(len(list(trace_dir.glob("*.npz"))))
+                raise KeyError("injected mid-smoothing")
+            real_append(self, array_ids, indices, is_write)
+
+        monkeypatch.setattr(SpillSink, "append_columns", failing_append)
+        with pytest.raises(KeyError, match="injected mid-smoothing"):
+            run_ordering(
+                mesh,
+                "rdr",
+                config=RunConfig(trace_mode="spill", stream_window_events=7),
+                machine=tiny_machine(),
+                fixed_iterations=ITERATIONS,
+                trace_dir=trace_dir,
+            )
+        assert windows_on_disk == [4]
+        if preexisting:
+            assert [f.name for f in trace_dir.iterdir()] == ["notes.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
     def test_abort_is_idempotent_and_closes(self):
         sink = FusedSink(RecordingConsumer(), window_events=4)
         sink.append_columns(

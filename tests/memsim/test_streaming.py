@@ -213,8 +213,9 @@ class TestConfigRouting:
 
     @pytest.mark.parametrize("affinity", ["compact", "scatter"])
     def test_multicore_streams_per_socket(self, affinity):
-        # compact packs two cores per socket (quantum-sliced interleave);
-        # scatter yields single-core sockets (windowed StreamingHierarchy).
+        # compact packs two cores per socket, scatter yields single-core
+        # sockets; the socket kernel replays both in chunks of whole
+        # interleave rounds.
         machine = toy_machine(2, 2, 4, 2, 8, 4)
         rng = np.random.default_rng(23)
         streams = [
